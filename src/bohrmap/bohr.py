@@ -15,13 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .catalog import (
-    BOUNDARY_DISTANCE,
-    TAIL_CONSTANTS,
-    NamedMap,
-    closed_form_eval,
-    make_map,
-)
+from .catalog import NamedMap, closed_form_eval, make_map
 from .radii import RadiusProblem, m2_tail
 from .series import HarmonicMap, circle_grid, eval_harmonic
 from .solver import solve_radius
@@ -225,35 +219,23 @@ def boundary_reach(
     return float(np.max(moduli)), float(np.min(moduli))
 
 
-# Map/variant pairings whose hypotheses are actually satisfied, used by the
-# CLI to refuse meaningless verify/sharpness runs.  The library functions
-# accept any pairing so tests can probe failures.
-COMPATIBLE = {
-    "koebe_analytic": ("thm11_univalent", "thm22_bohr"),
-    "half_plane_analytic": ("thm11_univalent", "thm11_convex", "thm22_bohr"),
-    "harmonic_koebe_K": ("thm210_convex_direction_s0",),
-    "half_plane_L": ("thm210_convex_direction_s0", "thm211_convex"),
-    "f0_sharp": ("thm24_monomial", "cor25_monomial"),
-    "p_k": ("thm12_quasi", "thm23_quasi"),
-    "q_k": ("thm12_quasi_convex", "thm23_quasi_convex", "thm23_quasi"),
-}
-
-
 def check_pairing(spec: NamedMap, p: RadiusProblem) -> None:
-    """Raise unless the named map satisfies the variant's hypotheses."""
-    allowed = COMPATIBLE.get(spec.name, ())
+    """Raise unless the named map satisfies the variant's hypotheses.
+
+    The CLI uses this to refuse meaningless verify/sharpness runs; the
+    library functions accept any pairing so tests can probe failures.
+    """
+    allowed = spec.record.witness_for
     if p.variant not in allowed:
         raise ValueError(
             f"{spec.name} is not a documented extremal/witness for {p.variant}; "
             f"valid variants: {', '.join(allowed) or 'none'}"
         )
-    if spec.name == "f0_sharp":
-        # f0's dilatation is z itself: the k = 1, n = 1 member of the family.
-        if p.variant == "thm24_monomial" and (p.k != 1.0 or p.n != 1):
-            raise ValueError("f0_sharp matches thm24_monomial only at k = 1, n = 1")
-        if p.variant == "cor25_monomial" and p.n != 1:
-            raise ValueError("f0_sharp matches cor25_monomial only at n = 1")
-    if spec.name in ("p_k", "q_k") and p.K is not None:
+    pins = [(key, value) for key, value in spec.record.pins if key in p.record.params]
+    if any(getattr(p, key) != value for key, value in pins):
+        at = ", ".join(f"{key} = {value:g}" for key, value in pins)
+        raise ValueError(f"{spec.name} matches {p.variant} only at {at}")
+    if spec.record.parametric and p.K is not None:
         k_max = (p.K - 1.0) / (p.K + 1.0)
         if spec.k > k_max + 1e-12:
             raise ValueError(
@@ -268,12 +250,10 @@ def default_bound_inputs(spec: NamedMap, p: RadiusProblem) -> dict:
     Distance-scaled variants pick up the catalog's boundary distance for
     the map; other variants need nothing.
     """
-    from .radii import NEEDS_DISTANCE
-
-    if p.variant in NEEDS_DISTANCE:
-        if spec.name not in BOUNDARY_DISTANCE:
+    if p.record.bound == "d":
+        if spec.record.distance is None:
             raise ValueError(f"no boundary-distance preset for {spec.name}")
-        return {"distance": BOUNDARY_DISTANCE[spec.name]}
+        return {"distance": spec.record.distance}
     return {}
 
 
@@ -299,6 +279,6 @@ def profile_for_named_map(
         margin=margin,
         grid_size=grid_size,
         M=M,
-        tail_constant=TAIL_CONSTANTS[spec.name],
+        tail_constant=spec.record.tail_constant,
         **kwargs,
     )

@@ -5,6 +5,11 @@ function and the right half-plane map), five are harmonic.  Each is available
 both as a truncated coefficient model, for Bohr partial sums, and as a closed
 form, for independent evaluation on the disk.
 
+``MAP_TABLE`` holds one ``MapSpec`` record per map: its alias, coefficient
+model, closed form, tail constant, boundary distance and the radius variants
+it is a documented witness for.  Adding a map means adding one record;
+``MAP_NAMES``, ``ALIASES`` and ``PARAMETRIC_MAPS`` are derived from the table.
+
 Coefficient models (m >= 1, everything else zero):
 
     koebe_analytic       a_m = m
@@ -19,58 +24,103 @@ Coefficient models (m >= 1, everything else zero):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .series import DEFAULT_ORDER, HarmonicMap, PowerSeries
 
-MAP_NAMES = (
-    "koebe_analytic",
-    "half_plane_analytic",
-    "harmonic_koebe_K",
-    "half_plane_L",
-    "f0_sharp",
-    "p_k",
-    "q_k",
+
+def _koebe(z):
+    return z / (1.0 - z) ** 2
+
+
+def _half(z):
+    return z / (1.0 - z)
+
+
+def _harmonic_koebe(z, k):
+    one = 1.0 - z
+    h = (z - z**2 / 2.0 + z**3 / 6.0) / one**3
+    g = (z**2 / 2.0 + z**3 / 6.0) / one**3
+    return h + np.conj(g)
+
+
+def _half_plane_L(z, k):
+    one = 1.0 - z
+    h = (z - z**2 / 2.0) / one**2
+    g = -(z**2) / 2.0 / one**2
+    return h + np.conj(g)
+
+
+def _f0(z, k):
+    # g0 = sum (m-1)^2/m z^m = koebe - 2*half - log(1-z), termwise.
+    g0 = _koebe(z) - 2.0 * _half(z) - np.log1p(-z)
+    return _koebe(z) + np.conj(g0)
+
+
+@dataclass(frozen=True)
+class MapSpec:
+    """One catalog map: its coefficients, closed form and presets.
+
+    ``coefficients(m, k)`` gives (a_m, b_m) on the array m = 1..order and
+    ``closed_form(z, k)`` gives f(z) for |z| < 1; k is the dilatation bound
+    of a ``parametric`` map and None otherwise.  ``tail_constant`` is a C
+    with |a_m| + |b_m| <= C m^2 for every m >= 1 (it feeds the tail bound),
+    ``distance`` the distance from f(0) to the image boundary where known in
+    closed form (the d of the distance-scaled bounds).  ``witness_for``
+    lists the variants whose hypotheses the map satisfies, and ``pins``
+    the variant parameters it is a witness at, where it is one member of
+    a family.
+    """
+
+    name: str
+    alias: str | None
+    parametric: bool
+    tail_constant: float
+    distance: float | None
+    coefficients: Callable[[np.ndarray, float | None], tuple]
+    closed_form: Callable[[np.ndarray, float | None], np.ndarray]
+    witness_for: tuple[str, ...]
+    pins: tuple[tuple[str, float], ...] = ()
+
+
+MAP_TABLE = (
+    MapSpec("koebe_analytic", "koebe", False, 2.0, 0.25,
+            lambda m, k: (m, 0.0), lambda z, k: _koebe(z),
+            ("thm11_univalent", "thm22_bohr")),
+    MapSpec("half_plane_analytic", "half_plane", False, 1.0, 0.5,
+            lambda m, k: (1.0, 0.0), lambda z, k: _half(z),
+            ("thm11_univalent", "thm11_convex", "thm22_bohr")),
+    MapSpec("harmonic_koebe_K", "K", False, 1.0, None,
+            lambda m, k: ((m + 1.0) * (2.0 * m + 1.0) / 6.0, (m - 1.0) * (2.0 * m - 1.0) / 6.0),
+            _harmonic_koebe, ("thm210_convex_direction_s0",)),
+    MapSpec("half_plane_L", "L", False, 1.0, None,
+            lambda m, k: ((m + 1.0) / 2.0, (1.0 - m) / 2.0), _half_plane_L,
+            ("thm210_convex_direction_s0", "thm211_convex")),
+    # f0's dilatation is z itself: the k = 1, n = 1 member of the family.
+    MapSpec("f0_sharp", "f0", False, 2.0, 0.25,
+            lambda m, k: (m, (m - 1.0) ** 2 / m), _f0,
+            ("thm24_monomial", "cor25_monomial"), pins=(("k", 1.0), ("n", 1))),
+    MapSpec("p_k", None, True, 2.0, 0.25,
+            lambda m, k: (m, k * m), lambda z, k: _koebe(z) + k * np.conj(_koebe(z)),
+            ("thm12_quasi", "thm23_quasi")),
+    MapSpec("q_k", None, True, 2.0, 0.5,
+            lambda m, k: (1.0, k), lambda z, k: _half(z) + k * np.conj(_half(z)),
+            ("thm12_quasi_convex", "thm23_quasi_convex", "thm23_quasi")),
 )
 
-ALIASES = {
-    "koebe": "koebe_analytic",
-    "half_plane": "half_plane_analytic",
-    "K": "harmonic_koebe_K",
-    "L": "half_plane_L",
-    "f0": "f0_sharp",
-}
-
+MAP = {spec.name: spec for spec in MAP_TABLE}
+MAP_NAMES = tuple(MAP)
+ALIASES = {spec.alias: spec.name for spec in MAP_TABLE if spec.alias}
 # Maps whose sharpness family is parameterized by the dilatation bound k.
-PARAMETRIC_MAPS = ("p_k", "q_k")
-
-# C such that |a_m| + |b_m| <= C m^2 for every m >= 1; feeds the tail bound.
-TAIL_CONSTANTS = {
-    "koebe_analytic": 2.0,
-    "half_plane_analytic": 1.0,
-    "harmonic_koebe_K": 1.0,
-    "half_plane_L": 1.0,
-    "f0_sharp": 2.0,
-    "p_k": 2.0,
-    "q_k": 2.0,
-}
-
-# Distance from the image of 0 to the image boundary, where known in closed
-# form.  This is the d appearing in the distance-scaled Bohr bounds.
-BOUNDARY_DISTANCE = {
-    "koebe_analytic": 0.25,
-    "half_plane_analytic": 0.5,
-    "f0_sharp": 0.25,
-    "p_k": 0.25,
-    "q_k": 0.5,
-}
+PARAMETRIC_MAPS = tuple(spec.name for spec in MAP_TABLE if spec.parametric)
 
 
 def resolve_name(name: str) -> str:
     """Canonical catalog name, accepting the short aliases."""
     canonical = ALIASES.get(name, name)
-    if canonical not in MAP_NAMES:
+    if canonical not in MAP:
         known = ", ".join(MAP_NAMES + tuple(ALIASES))
         raise ValueError(f"unknown map {name!r}; expected one of: {known}")
     return canonical
@@ -86,7 +136,7 @@ class NamedMap:
 
     def __post_init__(self):
         object.__setattr__(self, "name", resolve_name(self.name))
-        if self.name in PARAMETRIC_MAPS:
+        if self.record.parametric:
             if self.k is None:
                 raise ValueError(f"{self.name} requires the dilatation bound k")
             if not 0.0 <= self.k <= 1.0:
@@ -96,6 +146,10 @@ class NamedMap:
         if self.order < 2:
             raise ValueError("order must be >= 2")
 
+    @property
+    def record(self) -> MapSpec:
+        return MAP[self.name]
+
 
 def make_map(spec: NamedMap) -> HarmonicMap:
     """Truncated coefficient model of the selected map."""
@@ -103,28 +157,7 @@ def make_map(spec: NamedMap) -> HarmonicMap:
     m = np.arange(1, order + 1, dtype=np.float64)
     a = np.zeros(order + 1, dtype=np.complex128)
     b = np.zeros(order + 1, dtype=np.complex128)
-    name = spec.name
-    if name == "koebe_analytic":
-        a[1:] = m
-    elif name == "half_plane_analytic":
-        a[1:] = 1.0
-    elif name == "harmonic_koebe_K":
-        a[1:] = (m + 1.0) * (2.0 * m + 1.0) / 6.0
-        b[1:] = (m - 1.0) * (2.0 * m - 1.0) / 6.0
-    elif name == "half_plane_L":
-        a[1:] = (m + 1.0) / 2.0
-        b[1:] = (1.0 - m) / 2.0
-    elif name == "f0_sharp":
-        a[1:] = m
-        b[1:] = (m - 1.0) ** 2 / m
-    elif name == "p_k":
-        a[1:] = m
-        b[1:] = spec.k * m
-    elif name == "q_k":
-        a[1:] = 1.0
-        b[1:] = spec.k
-    else:  # pragma: no cover - resolve_name already screens
-        raise ValueError(f"unknown map {name!r}")
+    a[1:], b[1:] = spec.record.coefficients(m, spec.k)
     return HarmonicMap(PowerSeries(a), PowerSeries(b))
 
 
@@ -139,32 +172,7 @@ def closed_form_eval(spec: NamedMap, z):
         raise ValueError("evaluation points must be finite")
     if np.any(np.abs(zs) >= 1.0):
         raise ValueError("closed forms are only valid for |z| < 1")
-    one = 1.0 - zs
-    koebe = zs / one**2
-    half = zs / one
-    name = spec.name
-    if name == "koebe_analytic":
-        out = koebe
-    elif name == "half_plane_analytic":
-        out = half
-    elif name == "harmonic_koebe_K":
-        hk = (zs - zs**2 / 2.0 + zs**3 / 6.0) / one**3
-        gk = (zs**2 / 2.0 + zs**3 / 6.0) / one**3
-        out = hk + np.conj(gk)
-    elif name == "half_plane_L":
-        hl = (zs - zs**2 / 2.0) / one**2
-        gl = -(zs**2) / 2.0 / one**2
-        out = hl + np.conj(gl)
-    elif name == "f0_sharp":
-        # g0 = sum (m-1)^2/m z^m = koebe - 2*half - log(1-z), termwise.
-        g0 = koebe - 2.0 * half - np.log1p(-zs)
-        out = koebe + np.conj(g0)
-    elif name == "p_k":
-        out = koebe + spec.k * np.conj(koebe)
-    elif name == "q_k":
-        out = half + spec.k * np.conj(half)
-    else:  # pragma: no cover
-        raise ValueError(f"unknown map {name!r}")
+    out = spec.record.closed_form(zs, spec.k)
     if zs.ndim == 0:
         return complex(out)
     return out

@@ -64,12 +64,39 @@ def _header(command: str, **params) -> str:
     return "# " + " ".join(parts)
 
 
+def _value(x) -> str:
+    """One field value as printed: lowercase booleans, 12-digit floats."""
+    if isinstance(x, bool):
+        return str(x).lower()
+    if isinstance(x, float):
+        return _fmt(x)
+    return str(x)
+
+
+def _render(args, head, payload, fields=(), csv=None, plain=None) -> None:
+    """Write one command's result in the format ``args.format`` asks for.
+
+    JSON is the payload alone, floats rounded.  Plain and CSV open with the
+    ``head`` line; their body is the given line list where the output is a
+    table, else one line per (key, value) in ``fields``.
+    """
+    if args.format == "json":
+        _emit(json.dumps(_rounded(payload)), args.out)
+        return
+    if args.format == "csv":
+        body = csv or ["field,value"] + [f"{key},{_value(v)}" for key, v in fields]
+    else:
+        body = plain or [f"{key} = {_value(v)}" for key, v in fields]
+    _emit("\n".join([head, *body]), args.out)
+
+
 def _emit(text: str, out: str | None) -> None:
+    text = text if text.endswith("\n") else text + "\n"
     if out:
         with open(out, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+            fh.write(text)
     else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write(text)
 
 
 def _default_tol(args) -> float:
@@ -85,46 +112,30 @@ def _default_tol(args) -> float:
 
 
 def _problem_from_args(args) -> RadiusProblem:
-    return RadiusProblem(
-        args.theorem,
-        K=getattr(args, "K", None),
-        k=getattr(args, "dilatation_k", None),
-        n=getattr(args, "n", None),
-    )
+    return RadiusProblem(args.theorem, K=args.K, k=args.dilatation_k, n=args.n)
 
 
 def _map_from_args(args) -> NamedMap:
     return NamedMap(args.map, k=args.k, order=args.order)
 
 
+def _pairing_params(spec: NamedMap, p: RadiusProblem) -> dict:
+    """Header fields shared by the map-against-theorem commands."""
+    return dict(map=spec.name, k=spec.k, theorem=p.variant, K=p.K, dilatation_k=p.k, n=p.n)
+
+
 def cmd_radius(args, parser) -> int:
     tol = _default_tol(args)
     p = _problem_from_args(args)
     cert = solve_radius(p, tol)
-    head = _header(
-        "radius", theorem=p.variant, K=p.K, k=p.k, n=p.n, tol=tol
-    )
-    if args.format == "json":
-        _emit(json.dumps(_rounded(cert.to_dict())), args.out)
-    elif args.format == "csv":
-        lines = [head, "field,value"]
-        for key in ("root", "lo", "hi", "residual", "iterations", "monotone_checked"):
-            value = getattr(cert, key)
-            if isinstance(value, bool):
-                value = str(value).lower()
-            elif isinstance(value, float):
-                value = _fmt(value)
-            lines.append(f"{key},{value}")
-        _emit("\n".join(lines), args.out)
-    else:
-        lines = [head, f"variant = {p.variant}"]
-        lines.append(f"root = {_fmt(cert.root)}")
-        lines.append(f"lo = {_fmt(cert.lo)}")
-        lines.append(f"hi = {_fmt(cert.hi)}")
-        lines.append(f"residual = {_fmt(cert.residual)}")
-        lines.append(f"iterations = {cert.iterations}")
-        lines.append(f"monotone_checked = {str(cert.monotone_checked).lower()}")
-        _emit("\n".join(lines), args.out)
+    head = _header("radius", theorem=p.variant, K=p.K, k=p.k, n=p.n, tol=tol)
+    fields = [
+        (key, getattr(cert, key))
+        for key in ("root", "lo", "hi", "residual", "iterations", "monotone_checked")
+    ]
+    # plain output alone also names the variant
+    plain = [f"{key} = {_value(v)}" for key, v in [("variant", p.variant), *fields]]
+    _render(args, head, cert.to_dict(), fields, plain=plain)
     return 0
 
 
@@ -136,62 +147,34 @@ def cmd_table(args, parser) -> int:
     for n in range(1, args.max_n + 1):
         cert = solve_radius(RadiusProblem("cor25_monomial", n=n), tol)
         rows.append((n, cert.root))
-    head = _header("table", max_n=args.max_n, tol=tol)
-    if args.format == "json":
-        payload = [
-            {"n": n, "r0": _rounded(root), "r0_4dp": float(f"{root:.4f}")}
-            for n, root in rows
-        ]
-        _emit(json.dumps(payload), args.out)
-    elif args.format == "csv":
-        lines = [head, "n,r0,r0_4dp"]
-        lines += [f"{n},{_fmt(root)},{root:.4f}" for n, root in rows]
-        _emit("\n".join(lines), args.out)
-    else:
-        lines = [head, f"{'n':>3}  {'r0':<16}  r0_4dp"]
-        lines += [f"{n:>3}  {_fmt(root):<16}  {root:.4f}" for n, root in rows]
-        _emit("\n".join(lines), args.out)
+    _render(
+        args,
+        _header("table", max_n=args.max_n, tol=tol),
+        [{"n": n, "r0": root, "r0_4dp": float(f"{root:.4f}")} for n, root in rows],
+        csv=["n,r0,r0_4dp"] + [f"{n},{_fmt(root)},{root:.4f}" for n, root in rows],
+        plain=[f"{'n':>3}  {'r0':<16}  r0_4dp"]
+        + [f"{n:>3}  {_fmt(root):<16}  {root:.4f}" for n, root in rows],
+    )
     return 0
 
 
 def cmd_verify(args, parser) -> int:
     spec = _map_from_args(args)
     p = _problem_from_args(args)
-    check_pairing(spec, p)
     profile = profile_for_named_map(
-        spec,
-        p,
-        bound=args.bound,
-        margin=args.margin,
-        grid_size=args.grid_size,
+        spec, p, bound=args.bound, margin=args.margin, grid_size=args.grid_size
     )
     head = _header(
-        "verify",
-        map=spec.name,
-        k=spec.k,
-        theorem=p.variant,
-        K=p.K,
-        dilatation_k=p.k,
-        n=p.n,
-        bound=profile.bound,
-        margin=args.margin,
-        grid_size=args.grid_size,
-        order=spec.order,
+        "verify", **_pairing_params(spec, p), bound=profile.bound, margin=args.margin,
+        grid_size=args.grid_size, order=spec.order,
     )
-    if args.format == "json":
-        _emit(json.dumps(_rounded(profile.to_dict())), args.out)
-    elif args.format == "plain":
-        passes = int(np.sum(profile.verdicts))
-        lines = [
-            head,
-            f"bound = {_fmt(profile.bound)}",
-            f"r_max = {_fmt(profile.r_grid[-1])}",
-            f"passes = {passes}/{len(profile.verdicts)}",
-            f"all_pass = {str(profile.all_pass).lower()}",
-        ]
-        _emit("\n".join(lines), args.out)
-    else:
-        _emit(head + "\n" + profile.to_csv(), args.out)
+    fields = [
+        ("bound", profile.bound),
+        ("r_max", profile.r_grid[-1]),
+        ("passes", f"{int(np.sum(profile.verdicts))}/{len(profile.verdicts)}"),
+        ("all_pass", profile.all_pass),
+    ]
+    _render(args, head, profile.to_dict(), fields, csv=profile.to_csv().splitlines())
     return 0 if profile.all_pass else 1
 
 
@@ -200,37 +183,14 @@ def cmd_sharpness(args, parser) -> int:
     p = _problem_from_args(args)
     check_pairing(spec, p)
     kwargs = {} if args.bound is not None else default_bound_inputs(spec, p)
-    excess = sharpness_scan(
-        make_map(spec), p, args.epsilon, bound=args.bound, **kwargs
-    )
+    excess = sharpness_scan(make_map(spec), p, args.epsilon, bound=args.bound, **kwargs)
     head = _header(
-        "sharpness",
-        map=spec.name,
-        k=spec.k,
-        theorem=p.variant,
-        K=p.K,
-        dilatation_k=p.k,
-        n=p.n,
-        epsilon=args.epsilon,
-        order=spec.order,
+        "sharpness", **_pairing_params(spec, p), epsilon=args.epsilon, order=spec.order
     )
     ok = excess > 0.0
-    if args.format == "json":
-        _emit(
-            json.dumps(
-                _rounded(
-                    {"map": spec.name, "variant": p.variant, "epsilon": args.epsilon,
-                     "excess": excess, "positive": ok}
-                )
-            ),
-            args.out,
-        )
-    elif args.format == "csv":
-        _emit("\n".join([head, "field,value", f"excess,{_fmt(excess)}",
-                         f"positive,{str(ok).lower()}"]), args.out)
-    else:
-        lines = [head, f"excess = {_fmt(excess)}", f"positive = {str(ok).lower()}"]
-        _emit("\n".join(lines), args.out)
+    payload = {"map": spec.name, "variant": p.variant, "epsilon": args.epsilon,
+               "excess": excess, "positive": ok}
+    _render(args, head, payload, [("excess", excess), ("positive", ok)])
     return 0 if ok else 1
 
 
@@ -239,9 +199,8 @@ def cmd_image_curve(args, parser) -> int:
         parser.error("--r must lie in (0, 1)")
     if args.samples < 1:
         parser.error("--samples must be >= 1")
-    spec = NamedMap(args.map, k=args.k, order=args.order)
-    points = circle_grid(args.r, args.samples)
-    values = np.atleast_1d(closed_form_eval(spec, points))
+    spec = _map_from_args(args)
+    values = np.atleast_1d(closed_form_eval(spec, circle_grid(args.r, args.samples)))
     max_mod = float(np.max(np.abs(values)))
     lines = [
         f"# map={spec.name} r={_fmt(args.r)} samples={args.samples} "
@@ -262,30 +221,18 @@ def cmd_campaign(args, parser) -> int:
     )
     ok = report["worst_margin"] >= -DOMINATION_TOL
     head = _header(
-        "subordination-campaign",
-        cases=args.cases,
-        maps=",".join(map_names),
+        "subordination-campaign", cases=args.cases, maps=",".join(map_names),
         order=args.order,
     )
-    if args.format == "json":
-        payload = dict(report)
-        payload["all_pass"] = ok
-        _emit(json.dumps(_rounded(payload)), args.out)
-    elif args.format == "csv":
-        lines = [head, "seed,psi,map,margin"]
-        lines += [
-            f"{c['seed']},{c['psi']},{c['map']},{_fmt(c['margin'])}"
-            for c in report["cases"]
-        ]
-        _emit("\n".join(lines), args.out)
-    else:
-        lines = [
-            head,
-            f"cases = {report['count']}",
-            f"worst_margin = {_fmt(report['worst_margin'])}",
-            f"all_pass = {str(ok).lower()}",
-        ]
-        _emit("\n".join(lines), args.out)
+    fields = [
+        ("cases", report["count"]),
+        ("worst_margin", report["worst_margin"]),
+        ("all_pass", ok),
+    ]
+    csv = ["seed,psi,map,margin"] + [
+        f"{c['seed']},{c['psi']},{c['map']},{_fmt(c['margin'])}" for c in report["cases"]
+    ]
+    _render(args, head, {**report, "all_pass": ok}, fields, csv=csv)
     return 0 if ok else 1
 
 

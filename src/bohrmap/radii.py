@@ -8,25 +8,12 @@ algebraic expression) or *root-defined* (its radius is the unique zero in
 (0,1) of a strictly increasing majorant function).  Both kinds are evaluable
 here; certified root extraction lives in ``solver``.
 
-Variant summary:
+``VARIANT_TABLE`` holds one ``Variant`` record per statement: its short
+alias, parameters, bound kind, description and radius.  Adding a theorem
+means adding one record; ``VARIANTS``, ``THEOREM_ALIASES``, ``ROOT_DEFINED``
+and ``NEEDS_DISTANCE`` are derived from the table.
 
-    thm11_univalent              closed form   3 - sqrt(8)        bound d
-    thm11_convex                 closed form   1/3                bound d
-    thm12_quasi(K)               closed form   see below          bound d
-    thm12_quasi_convex(K)        closed form   (K+1)/(5K+1)       bound d
-    thm22_bohr                   closed form   1/3                bound 1
-    thm23_quasi(K)               closed form   see below          bound 1
-    thm23_quasi_convex(K)        closed form   (K+1)/(3K+1)       bound 1
-    thm23_subordination(K)       closed form   min(1/3, quasi)    bound 1
-    thm23_subordination_convex(K) closed form  min(1/3, convex)   bound 1
-    thm24_monomial(k, n)         root-defined                     bound 1
-    cor25_monomial(n)            root-defined  (k -> 1 limit)     bound 1
-    thm27_mobius                 root-defined                     bound 1+|a|
-    thm29_convex_direction       root-defined  (5-sqrt(17))/4     bound 1
-    thm210_convex_direction_s0   root-defined                     bound 1
-    thm211_convex                root-defined  (3-sqrt(5))/2      bound 1
-
-"bound d" marks the families whose Bohr sum is compared against the distance
+"Bound d" marks the families whose Bohr sum is compared against the distance
 from the image of 0 to the image boundary; the caller supplies that distance
 (catalog presets: 1/4 for the full-growth maps, 1/2 for half-plane maps).
 """
@@ -39,97 +26,151 @@ from typing import Callable
 
 import numpy as np
 
-VARIANTS = (
-    "thm11_univalent",
-    "thm11_convex",
-    "thm12_quasi",
-    "thm12_quasi_convex",
-    "thm22_bohr",
-    "thm23_quasi",
-    "thm23_quasi_convex",
-    "thm23_subordination",
-    "thm23_subordination_convex",
-    "thm24_monomial",
-    "cor25_monomial",
-    "thm27_mobius",
-    "thm29_convex_direction",
-    "thm210_convex_direction_s0",
-    "thm211_convex",
+
+def _thm12_quasi(K: float) -> float:
+    # (5K+1-sqrt(8K(3K+1)))/(K+1) rationalised, since
+    # (5K+1)^2 - 8K(3K+1) = (K+1)^2, and divided through by K: no
+    # cancellation for large K and no overflow up to the largest double.
+    t = 1.0 / K
+    return (1.0 + t) / (5.0 + t + math.sqrt(8.0 * (3.0 + t)))
+
+
+def _thm23_quasi(K: float) -> float:
+    # (2K+1-sqrt(K(3K+2)))/(K+1), rationalised and divided by K likewise.
+    t = 1.0 / K
+    return (1.0 + t) / (2.0 + t + math.sqrt(3.0 + 2.0 * t))
+
+
+def _convex_quasi(c: float, K: float) -> float:
+    # (K+1)/(cK+1), divided through by K.
+    t = 1.0 / K
+    return (1.0 + t) / (c + t)
+
+
+def _monomial_majorant(k: float, n: int, rs):
+    one = 1.0 - rs
+    # log(1-r) through log1p(-r) keeps accuracy near r = 0.
+    return (
+        (k + 1.0) * rs / one**2
+        - 2.0 * n * k * rs / one
+        - k * n**2 * np.log1p(-rs)
+        - 1.0
+    )
+
+
+def _thm210_majorant(rs):
+    # Monotone series form; the equivalent cubic 4r^3 - 9r^2 + 12r - 3
+    # has the opposite sign below the root.
+    one = 1.0 - rs
+    return 2.0 * rs * (1.0 + rs) / (3.0 * one**3) + rs / (3.0 * one) - 1.0
+
+
+@dataclass(frozen=True)
+class Variant:
+    """One radius statement: its tag, parameters, bound and radius.
+
+    ``params`` names the parameters the statement takes, in ("K", "k", "n");
+    ``bound`` is the right side of its Bohr inequality: "1", "d" (the
+    caller-supplied boundary distance) or "1+|a|" (the automorphism
+    dilatation parameter).  ``closed_form`` maps a ``RadiusProblem`` to its
+    algebraic radius; ``majorant`` maps (problem, r) to majorant minus
+    bound, negative below the radius and positive above.  A variant has
+    one or both.  ``min_rule_base`` marks the variants whose radius the
+    subordination cap min(1/3, radius) applies to.
+    """
+
+    name: str
+    alias: str | None
+    params: tuple[str, ...]
+    bound: str
+    description: str
+    closed_form: Callable[[RadiusProblem], float] | None = None
+    majorant: Callable[[RadiusProblem, np.ndarray], np.ndarray] | None = None
+    min_rule_base: bool = False
+
+
+VARIANT_TABLE = (
+    Variant("thm11_univalent", "thm11", (), "d",
+            "subordinates of a univalent analytic map; bound is the boundary distance d; "
+            "radius 3-sqrt(8)",
+            closed_form=lambda p: 3.0 - math.sqrt(8.0)),
+    Variant("thm11_convex", None, (), "d",
+            "subordinates of a convex univalent analytic map; bound d; radius 1/3",
+            closed_form=lambda p: 1.0 / 3.0),
+    Variant("thm12_quasi", "thm12", ("K",), "d",
+            "K-quasiconformal harmonic map with univalent analytic part; bound d; "
+            "radius (5K+1-sqrt(8K(3K+1)))/(K+1)",
+            closed_form=lambda p: _thm12_quasi(p.K)),
+    Variant("thm12_quasi_convex", "thm12_convex", ("K",), "d",
+            "K-quasiconformal harmonic map with convex analytic part; bound d; "
+            "radius (K+1)/(5K+1)",
+            closed_form=lambda p: _convex_quasi(5.0, p.K)),
+    Variant("thm22_bohr", "thm22", (), "1",
+            "subordinates of a normalized univalent analytic map; bound 1; radius 1/3",
+            closed_form=lambda p: 1.0 / 3.0),
+    Variant("thm23_quasi", "thm23", ("K",), "1",
+            "K-quasiconformal harmonic map with univalent analytic part; bound 1; "
+            "radius (2K+1-sqrt(K(3K+2)))/(K+1)",
+            closed_form=lambda p: _thm23_quasi(p.K), min_rule_base=True),
+    Variant("thm23_quasi_convex", "thm23_convex", ("K",), "1",
+            "K-quasiconformal harmonic map with convex analytic part; bound 1; "
+            "radius (K+1)/(3K+1)",
+            closed_form=lambda p: _convex_quasi(3.0, p.K), min_rule_base=True),
+    Variant("thm23_subordination", "thm23_sub", ("K",), "1",
+            "harmonic subordinates of the thm23_quasi family; bound 1; "
+            "radius min(1/3, base radius)",
+            closed_form=lambda p: min(1.0 / 3.0, _thm23_quasi(p.K)), min_rule_base=True),
+    Variant("thm23_subordination_convex", "thm23_sub_convex", ("K",), "1",
+            "harmonic subordinates of the thm23_quasi_convex family; bound 1; "
+            "radius min(1/3, base radius)",
+            closed_form=lambda p: min(1.0 / 3.0, _convex_quasi(3.0, p.K)),
+            min_rule_base=True),
+    Variant("thm24_monomial", "thm24", ("k", "n"), "1",
+            "harmonic map with dilatation k e^{i theta} z^n; bound 1; root-defined radius",
+            majorant=lambda p, r: _monomial_majorant(p.k, p.n, r), min_rule_base=True),
+    Variant("cor25_monomial", "cor25", ("n",), "1",
+            "harmonic map with dilatation e^{i theta} z^n (k -> 1 limit); bound 1; "
+            "root-defined radius",
+            majorant=lambda p, r: _monomial_majorant(1.0, p.n, r), min_rule_base=True),
+    Variant("thm27_mobius", "thm27", (), "1+|a|",
+            "harmonic map with disk-automorphism dilatation; bound 1+|a|; "
+            "root of r^3 - 3r^2 + 5r - 1",
+            majorant=lambda p, r: r**3 - 3.0 * r**2 + 5.0 * r - 1.0),
+    Variant("thm29_convex_direction", "thm29", (), "1",
+            "univalent harmonic map convex in one direction; bound 1; radius (5-sqrt(17))/4",
+            closed_form=lambda p: (5.0 - math.sqrt(17.0)) / 4.0,
+            # -(2r^2 - 5r + 1): negated so the sign convention holds.
+            majorant=lambda p, r: -(2.0 * r**2 - 5.0 * r + 1.0)),
+    Variant("thm210_convex_direction_s0", "thm210", (), "1",
+            "harmonic map convex in one direction with b_1 = 0; bound 1; root-defined radius",
+            majorant=lambda p, r: _thm210_majorant(r)),
+    Variant("thm211_convex", "thm211", (), "1",
+            "convex univalent harmonic map with b_1 = 0; bound 1; radius (3-sqrt(5))/2",
+            closed_form=lambda p: (3.0 - math.sqrt(5.0)) / 2.0,
+            majorant=lambda p, r: r / (1.0 - r) ** 2 - 1.0),
 )
 
+VARIANT = {v.name: v for v in VARIANT_TABLE}
+VARIANTS = tuple(VARIANT)
 # Short spellings accepted anywhere a variant is named (CLI included).
-THEOREM_ALIASES = {
-    "thm11": "thm11_univalent",
-    "thm12": "thm12_quasi",
-    "thm12_convex": "thm12_quasi_convex",
-    "thm22": "thm22_bohr",
-    "thm23": "thm23_quasi",
-    "thm23_convex": "thm23_quasi_convex",
-    "thm23_sub": "thm23_subordination",
-    "thm23_sub_convex": "thm23_subordination_convex",
-    "thm24": "thm24_monomial",
-    "cor25": "cor25_monomial",
-    "thm27": "thm27_mobius",
-    "thm29": "thm29_convex_direction",
-    "thm210": "thm210_convex_direction_s0",
-    "thm211": "thm211_convex",
-}
+THEOREM_ALIASES = {v.alias: v.name for v in VARIANT_TABLE if v.alias}
+ROOT_DEFINED = frozenset(v.name for v in VARIANT_TABLE if v.majorant)
+NEEDS_DISTANCE = frozenset(v.name for v in VARIANT_TABLE if v.bound == "d")
 
-ROOT_DEFINED = frozenset(
-    {
-        "thm24_monomial",
-        "cor25_monomial",
-        "thm27_mobius",
-        "thm29_convex_direction",
-        "thm210_convex_direction_s0",
-        "thm211_convex",
-    }
+# (parameter, test, message), checked in this order; K must also be finite so
+# that no closed form sees an infinity.
+_PARAM_RULES = (
+    ("K", lambda K: K >= 1.0, "K must be >= 1"),
+    ("K", math.isfinite, "K must be finite"),
+    ("k", lambda k: 0.0 < k <= 1.0, "k must lie in (0, 1]"),
+    ("n", lambda n: isinstance(n, (int, np.integer)) and n >= 1, "n must be an integer >= 1"),
 )
-
-# Variants whose bound is the caller-supplied boundary distance d.
-NEEDS_DISTANCE = frozenset(
-    {"thm11_univalent", "thm11_convex", "thm12_quasi", "thm12_quasi_convex"}
-)
-
-_NEEDS_K = frozenset(
-    {
-        "thm12_quasi",
-        "thm12_quasi_convex",
-        "thm23_quasi",
-        "thm23_quasi_convex",
-        "thm23_subordination",
-        "thm23_subordination_convex",
-    }
-)
-
-# K at which the quasiconformal radius (2K+1-sqrt(K(3K+2)))/(K+1) crosses
-# 1/3, i.e. where the min rule switches branch.  Regression value; algebra
-# gives exactly 2.
-THM23_MIN_RULE_CROSSOVER_K = 2.0
-
-_DESCRIPTIONS = {
-    "thm11_univalent": "subordinates of a univalent analytic map; bound is the boundary distance d; radius 3-sqrt(8)",
-    "thm11_convex": "subordinates of a convex univalent analytic map; bound d; radius 1/3",
-    "thm12_quasi": "K-quasiconformal harmonic map with univalent analytic part; bound d; radius (5K+1-sqrt(8K(3K+1)))/(K+1)",
-    "thm12_quasi_convex": "K-quasiconformal harmonic map with convex analytic part; bound d; radius (K+1)/(5K+1)",
-    "thm22_bohr": "subordinates of a normalized univalent analytic map; bound 1; radius 1/3",
-    "thm23_quasi": "K-quasiconformal harmonic map with univalent analytic part; bound 1; radius (2K+1-sqrt(K(3K+2)))/(K+1)",
-    "thm23_quasi_convex": "K-quasiconformal harmonic map with convex analytic part; bound 1; radius (K+1)/(3K+1)",
-    "thm23_subordination": "harmonic subordinates of the thm23_quasi family; bound 1; radius min(1/3, base radius)",
-    "thm23_subordination_convex": "harmonic subordinates of the thm23_quasi_convex family; bound 1; radius min(1/3, base radius)",
-    "thm24_monomial": "harmonic map with dilatation k e^{i theta} z^n; bound 1; root-defined radius",
-    "cor25_monomial": "harmonic map with dilatation e^{i theta} z^n (k -> 1 limit); bound 1; root-defined radius",
-    "thm27_mobius": "harmonic map with disk-automorphism dilatation; bound 1+|a|; root of r^3 - 3r^2 + 5r - 1",
-    "thm29_convex_direction": "univalent harmonic map convex in one direction; bound 1; radius (5-sqrt(17))/4",
-    "thm210_convex_direction_s0": "harmonic map convex in one direction with b_1 = 0; bound 1; root-defined radius",
-    "thm211_convex": "convex univalent harmonic map with b_1 = 0; bound 1; radius (3-sqrt(5))/2",
-}
 
 
 def resolve_variant(name: str) -> str:
     """Canonical variant tag, accepting the short aliases."""
     canonical = THEOREM_ALIASES.get(name, name)
-    if canonical not in VARIANTS:
+    if canonical not in VARIANT:
         known = ", ".join(sorted(THEOREM_ALIASES))
         raise ValueError(f"unknown variant {name!r}; short names: {known}")
     return canonical
@@ -139,8 +180,8 @@ def resolve_variant(name: str) -> str:
 class RadiusProblem:
     """One radius statement: variant tag plus the parameters it demands.
 
-    K >= 1 for the quasiconformal families, k in (0, 1] and integer n >= 1
-    for the monomial-dilatation family, n alone for its k -> 1 limit.
+    K >= 1 (finite) for the quasiconformal families, k in (0, 1] and integer
+    n >= 1 for the monomial-dilatation family, n alone for its k -> 1 limit.
     Parameters not demanded by the variant are rejected.
     """
 
@@ -151,36 +192,29 @@ class RadiusProblem:
 
     def __post_init__(self):
         object.__setattr__(self, "variant", resolve_variant(self.variant))
-        v = self.variant
-        if v in _NEEDS_K:
-            if self.K is None:
-                raise ValueError(f"{v} requires K")
-            if not self.K >= 1.0:
-                raise ValueError("K must be >= 1")
-        elif self.K is not None:
-            raise ValueError(f"{v} takes no K parameter")
-        if v == "thm24_monomial":
-            if self.k is None:
-                raise ValueError(f"{v} requires k")
-            if not 0.0 < self.k <= 1.0:
-                raise ValueError("k must lie in (0, 1]")
-        elif self.k is not None:
-            raise ValueError(f"{v} takes no k parameter")
-        if v in ("thm24_monomial", "cor25_monomial"):
-            if self.n is None:
-                raise ValueError(f"{v} requires n")
-            if not isinstance(self.n, (int, np.integer)) or self.n < 1:
-                raise ValueError("n must be an integer >= 1")
-        elif self.n is not None:
-            raise ValueError(f"{v} takes no n parameter")
+        for name in ("K", "k", "n"):
+            value = getattr(self, name)
+            if name not in self.record.params:
+                if value is not None:
+                    raise ValueError(f"{self.variant} takes no {name} parameter")
+                continue
+            if value is None:
+                raise ValueError(f"{self.variant} requires {name}")
+            for param, test, message in _PARAM_RULES:
+                if param == name and not test(value):
+                    raise ValueError(message)
+
+    @property
+    def record(self) -> Variant:
+        return VARIANT[self.variant]
 
     @property
     def root_defined(self) -> bool:
-        return self.variant in ROOT_DEFINED
+        return self.record.majorant is not None
 
     def describe(self) -> str:
         """One-line statement of family, bound, and radius expression."""
-        parts = [_DESCRIPTIONS[self.variant]]
+        parts = [self.record.description]
         params = []
         if self.K is not None:
             params.append(f"K={self.K:g}")
@@ -202,7 +236,8 @@ class RadiusProblem:
         return 1.
         """
         v = self.variant
-        if v in NEEDS_DISTANCE:
+        kind = self.record.bound
+        if kind == "d":
             if mobius_a is not None:
                 raise ValueError(f"{v} takes no mobius_a")
             if distance is None:
@@ -210,7 +245,7 @@ class RadiusProblem:
             if not distance > 0:
                 raise ValueError("distance must be positive")
             return float(distance)
-        if v == "thm27_mobius":
+        if kind == "1+|a|":
             if distance is not None:
                 raise ValueError(f"{v} takes no distance")
             if mobius_a is None:
@@ -230,32 +265,8 @@ def closed_form_radius(p: RadiusProblem) -> float | None:
     (thm29, thm211) report their algebraic roots too, so the solver can be
     cross-checked against them.
     """
-    v = p.variant
-    if v == "thm11_univalent":
-        return 3.0 - math.sqrt(8.0)
-    if v in ("thm11_convex", "thm22_bohr"):
-        return 1.0 / 3.0
-    if v == "thm12_quasi":
-        K = p.K
-        return (5.0 * K + 1.0 - math.sqrt(8.0 * K * (3.0 * K + 1.0))) / (K + 1.0)
-    if v == "thm12_quasi_convex":
-        return (p.K + 1.0) / (5.0 * p.K + 1.0)
-    if v == "thm23_quasi":
-        K = p.K
-        return (2.0 * K + 1.0 - math.sqrt(K * (3.0 * K + 2.0))) / (K + 1.0)
-    if v == "thm23_quasi_convex":
-        return (p.K + 1.0) / (3.0 * p.K + 1.0)
-    if v == "thm23_subordination":
-        return min(1.0 / 3.0, closed_form_radius(RadiusProblem("thm23_quasi", K=p.K)))
-    if v == "thm23_subordination_convex":
-        return min(
-            1.0 / 3.0, closed_form_radius(RadiusProblem("thm23_quasi_convex", K=p.K))
-        )
-    if v == "thm29_convex_direction":
-        return (5.0 - math.sqrt(17.0)) / 4.0
-    if v == "thm211_convex":
-        return (3.0 - math.sqrt(5.0)) / 2.0
-    return None
+    closed_form = p.record.closed_form
+    return None if closed_form is None else closed_form(p)
 
 
 def majorant_value(p: RadiusProblem, r):
@@ -274,30 +285,7 @@ def majorant_value(p: RadiusProblem, r):
     rs = np.asarray(r, dtype=np.float64)
     if np.any(rs < 0.0) or np.any(rs >= 1.0):
         raise ValueError("r must lie in [0, 1)")
-    v = p.variant
-    if v in ("thm24_monomial", "cor25_monomial"):
-        k = 1.0 if v == "cor25_monomial" else p.k
-        n = p.n
-        one = 1.0 - rs
-        # log(1-r) through log1p(-r) keeps accuracy near r = 0.
-        val = (
-            (k + 1.0) * rs / one**2
-            - 2.0 * n * k * rs / one
-            - k * n**2 * np.log1p(-rs)
-            - 1.0
-        )
-    elif v == "thm27_mobius":
-        val = rs**3 - 3.0 * rs**2 + 5.0 * rs - 1.0
-    elif v == "thm29_convex_direction":
-        # -(2r^2 - 5r + 1): negated so the sign convention holds.
-        val = -(2.0 * rs**2 - 5.0 * rs + 1.0)
-    elif v == "thm210_convex_direction_s0":
-        # Monotone series form; the equivalent cubic 4r^3 - 9r^2 + 12r - 3
-        # has the opposite sign below the root.
-        one = 1.0 - rs
-        val = 2.0 * rs * (1.0 + rs) / (3.0 * one**3) + rs / (3.0 * one) - 1.0
-    else:  # thm211_convex
-        val = rs / (1.0 - rs) ** 2 - 1.0
+    val = p.record.majorant(p, rs)
     if rs.ndim == 0:
         return float(val)
     return val

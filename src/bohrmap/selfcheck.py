@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bohr import bohr_partial_sum, boundary_reach, sharpness_scan
-from .catalog import TAIL_CONSTANTS, NamedMap, closed_form_eval, make_map
+from .catalog import MAP_TABLE, NamedMap, closed_form_eval, make_map
 from .dilatation import (
     MobiusDilatation,
     MonomialDilatation,
@@ -24,12 +24,7 @@ from .dilatation import (
     g_from_mobius,
     g_from_monomial,
 )
-from .radii import (
-    ROOT_DEFINED,
-    RadiusProblem,
-    closed_form_radius,
-    majorant_value,
-)
+from .radii import VARIANT_TABLE, RadiusProblem, closed_form_radius, majorant_value
 from .series import (
     HarmonicMap,
     PowerSeries,
@@ -94,14 +89,13 @@ def _extremal_pairs(order: int):
 
 
 def _root_defined_problems():
-    return (
-        RadiusProblem("thm24_monomial", k=0.5, n=1),
-        RadiusProblem("cor25_monomial", n=2),
-        RadiusProblem("thm27_mobius"),
-        RadiusProblem("thm29_convex_direction"),
-        RadiusProblem("thm210_convex_direction_s0"),
-        RadiusProblem("thm211_convex"),
-    )
+    """One problem per root-defined variant, at sample parameter values."""
+    sample = {"K": 3.0, "k": 0.5, "n": 2}
+    return [
+        RadiusProblem(v.name, **{name: sample[name] for name in v.params})
+        for v in VARIANT_TABLE
+        if v.majorant
+    ]
 
 
 def run_selfcheck(quick: bool = False, perturb: float = 0.0) -> list[CheckResult]:
@@ -223,16 +217,9 @@ def run_selfcheck(quick: bool = False, perturb: float = 0.0) -> list[CheckResult
 
     def closed_form_agreement():
         worst = 0.0
-        for name, k in (
-            ("koebe_analytic", None),
-            ("half_plane_analytic", None),
-            ("harmonic_koebe_K", None),
-            ("half_plane_L", None),
-            ("f0_sharp", None),
-            ("p_k", 0.5),
-            ("q_k", 0.5),
-        ):
-            spec = NamedMap(name, k=k, order=order)
+        for entry in MAP_TABLE:
+            k = 0.5 if entry.parametric else None
+            spec = NamedMap(entry.name, k=k, order=order)
             f = make_map(spec)
             z = circle_grid(0.3, 32)
             err = float(
@@ -261,12 +248,7 @@ def run_selfcheck(quick: bool = False, perturb: float = 0.0) -> list[CheckResult
             for n in (1, 2, 3, 4)
         ]
         problems += [RadiusProblem("cor25_monomial", n=n) for n in (1, 2, 3, 4)]
-        problems += [
-            RadiusProblem("thm27_mobius"),
-            RadiusProblem("thm29_convex_direction"),
-            RadiusProblem("thm210_convex_direction_s0"),
-            RadiusProblem("thm211_convex"),
-        ]
+        problems += [p for p in _root_defined_problems() if not p.record.params]
         ok = True
         for p in problems:
             vals = majorant_value(p, grid)
@@ -287,14 +269,15 @@ def run_selfcheck(quick: bool = False, perturb: float = 0.0) -> list[CheckResult
     run("solver_closed_form_agreement", solver_agreement)
 
     def formula_limits():
+        # 3 - sqrt(8) and (3 - sqrt(5))/2, written without the cancellation
         gaps = [
             abs(
                 closed_form_radius(RadiusProblem("thm12_quasi", K=1.0))
-                - (3.0 - math.sqrt(8.0))
+                - 1.0 / (3.0 + math.sqrt(8.0))
             ),
             abs(
                 closed_form_radius(RadiusProblem("thm23_quasi", K=1.0))
-                - (3.0 - math.sqrt(5.0)) / 2.0
+                - 2.0 / (3.0 + math.sqrt(5.0))
             ),
         ]
         Ks = np.linspace(1.0, 100.0, 200)
@@ -319,7 +302,7 @@ def run_selfcheck(quick: bool = False, perturb: float = 0.0) -> list[CheckResult
             f = _perturbed(make_map(spec), perturb)
             for r in (0.1, 0.2, 0.3):
                 total, tail = bohr_partial_sum(
-                    f, r, tail_constant=TAIL_CONSTANTS[spec.name]
+                    f, r, tail_constant=spec.record.tail_constant
                 )
                 gap = abs(total + tail - (majorant_value(p, r) + 1.0))
                 worst = max(worst, gap)
@@ -355,8 +338,9 @@ def run_selfcheck(quick: bool = False, perturb: float = 0.0) -> list[CheckResult
         # r = 0.6 keeps the m in (50, 100] increment above double roundoff
         ok = True
         for name in ("koebe_analytic", "harmonic_koebe_K", "f0_sharp"):
-            f = make_map(NamedMap(name, order=200))
-            C = TAIL_CONSTANTS[name]
+            spec = NamedMap(name, order=200)
+            f = make_map(spec)
+            C = spec.record.tail_constant
             s1, t1 = bohr_partial_sum(f, 0.6, M=50, tail_constant=C)
             s2, _ = bohr_partial_sum(f, 0.6, M=100, tail_constant=C)
             ok = ok and s1 < s2 <= s1 + t1

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -42,24 +42,7 @@ class RootCertificate:
     monotone_checked: bool
 
     def to_dict(self) -> dict:
-        if self.problem is None:
-            prob = None
-        else:
-            prob = {
-                "variant": self.problem.variant,
-                "K": self.problem.K,
-                "k": self.problem.k,
-                "n": self.problem.n,
-            }
-        return {
-            "problem": prob,
-            "lo": self.lo,
-            "hi": self.hi,
-            "root": self.root,
-            "residual": self.residual,
-            "iterations": self.iterations,
-            "monotone_checked": self.monotone_checked,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())
@@ -145,10 +128,14 @@ def solve_radius(p: RadiusProblem, tol: float = WIDTH_TOL) -> RootCertificate:
     interior points of (0, 0.99) followed by certified bisection on
     [1e-9, 1 - 1e-9] (the majorants diverge at r = 1, so the upper end is
     clamped away from it).  Closed-form variants return the algebraic value
-    as a degenerate certificate.
+    as a degenerate certificate, after checking that it lies in (0, 1).
     """
     if not p.root_defined:
         root = closed_form_radius(p)
+        if not 0.0 < root < 1.0:
+            raise RuntimeError(
+                f"closed-form radius {root!r} of {p.variant} is not in (0, 1)"
+            )
         return RootCertificate(
             problem=p,
             lo=root,
@@ -174,16 +161,6 @@ def solve_radius(p: RadiusProblem, tol: float = WIDTH_TOL) -> RootCertificate:
     )
 
 
-_MIN_RULE_BASES = (
-    "thm24_monomial",
-    "cor25_monomial",
-    "thm23_quasi",
-    "thm23_quasi_convex",
-    "thm23_subordination",
-    "thm23_subordination_convex",
-)
-
-
 def min_rule_radius(p: RadiusProblem, tol: float = WIDTH_TOL) -> float:
     """min(1/3, base radius): the subordination cap on a base problem.
 
@@ -191,7 +168,7 @@ def min_rule_radius(p: RadiusProblem, tol: float = WIDTH_TOL) -> float:
     and the closed form for the quasiconformal ones (for which the min rule
     is already their subordination variant; applying it again is idempotent).
     """
-    if p.variant not in _MIN_RULE_BASES:
+    if not p.record.min_rule_base:
         raise ValueError(f"{p.variant} carries no base radius for the min rule")
     base = solve_radius(p, tol).root
     return min(1.0 / 3.0, base)

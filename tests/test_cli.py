@@ -42,6 +42,19 @@ class TestRadius:
             main(["radius", "--theorem", "thm24"])
         assert exc.value.code == 2
 
+    def test_infinite_K_exits_two(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["radius", "--theorem", "thm12", "--K", "inf"])
+        assert exc.value.code == 2
+        assert "K must be finite" in capsys.readouterr().err
+
+    def test_huge_K_gives_the_limit_radius(self, capsys):
+        # (2K+1-sqrt(K(3K+2)))/(K+1) -> 2 - sqrt(3) as K -> inf
+        for theorem in ("thm23", "thm23_sub"):
+            code, out, _ = run(capsys, "radius", "--theorem", theorem, "--K", "1e300")
+            assert code == 0
+            assert "root = 0.267949192431" in out
+
     def test_unknown_theorem_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["radius", "--theorem", "thm99"])

@@ -58,8 +58,9 @@ class TestProblemValidation:
         RadiusProblem("thm24_monomial", k=1.0, n=1)
 
     def test_K_range(self):
-        with pytest.raises(ValueError):
-            RadiusProblem("thm12_quasi", K=0.5)
+        for bad in (0.5, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                RadiusProblem("thm12_quasi", K=bad)
         RadiusProblem("thm12_quasi", K=1.0)
 
     def test_extraneous_params_rejected(self):

@@ -1,9 +1,11 @@
-"""High-precision oracle for the root-defined radii that the suite pins.
+"""High-precision oracle for the radii that the suite pins.
 
 The cor25 and thm210 radius equations are written out here from their
 statements, with no call into ``bohrmap``, and solved at 40 digits with
 mpmath.  The frozen roots in ``test_radii.py`` and ``test_solver.py`` and
-the four-decimal tables of the acceptance gate must agree with them.
+the four-decimal tables of the acceptance gate must agree with them.  The
+quasiconformal closed forms are evaluated the same way, as stated, and the
+package's radii must match them over the whole range of K.
 """
 
 import pytest
@@ -13,6 +15,8 @@ mp = pytest.importorskip("mpmath")
 from test_acceptance import REFERENCE_4DP, THM210_4DP
 from test_radii import COR25_ROOTS
 from test_solver import THM210_ROOT
+
+from bohrmap import RadiusProblem, closed_form_radius
 
 DIGITS = 40
 
@@ -59,3 +63,24 @@ def test_thm210_root_and_its_rounding():
     print(f"thm210: root={mp.nstr(root, 30)} reference={THM210_4DP}")
     assert abs(THM210_ROOT - root) <= 1e-15
     assert_rounds_to(root, THM210_4DP)
+
+
+QUASI_RADII = {
+    # (5K+1-sqrt(8K(3K+1)))/(K+1)
+    "thm12_quasi": lambda K: (5 * K + 1 - mp.sqrt(8 * K * (3 * K + 1))) / (K + 1),
+    # (2K+1-sqrt(K(3K+2)))/(K+1)
+    "thm23_quasi": lambda K: (2 * K + 1 - mp.sqrt(K * (3 * K + 2))) / (K + 1),
+    # min(1/3, thm23 radius)
+    "thm23_subordination": lambda K: min(
+        mp.mpf(1) / 3, (2 * K + 1 - mp.sqrt(K * (3 * K + 2))) / (K + 1)
+    ),
+}
+
+
+@pytest.mark.parametrize("K", [1.0, 3.0, 44266.39115709909, 1e6, 1e300])
+@pytest.mark.parametrize("variant", sorted(QUASI_RADII))
+def test_quasiconformal_closed_forms(variant, K):
+    with mp.workdps(DIGITS):
+        exact = QUASI_RADII[variant](mp.mpf(K))
+        got = closed_form_radius(RadiusProblem(variant, K=K))
+        assert abs(got - exact) <= 1e-15 * exact

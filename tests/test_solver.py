@@ -89,6 +89,14 @@ class TestCertificates:
         assert cert.residual == 0.0
         assert not cert.monotone_checked
 
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf, 0.0, 1.0])
+    def test_closed_form_outside_unit_interval_is_refused(self, bad, monkeypatch):
+        import bohrmap.solver
+
+        monkeypatch.setattr(bohrmap.solver, "closed_form_radius", lambda p: bad)
+        with pytest.raises(RuntimeError, match="not in"):
+            solve_radius(RadiusProblem("thm23_quasi", K=3.0))
+
 
 class TestSolveRadius:
     def test_mobius_root_matches_cubic_oracle(self):

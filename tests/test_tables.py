@@ -1,0 +1,81 @@
+"""Invariants across the variant and map tables.
+
+Every record of ``VARIANT_TABLE`` and ``MAP_TABLE`` is checked here, so a
+new theorem or map is covered without editing this file.
+"""
+
+import itertools
+
+import pytest
+
+from bohrmap import (
+    MAP_NAMES,
+    MAP_TABLE,
+    VARIANT_TABLE,
+    VARIANTS,
+    RadiusProblem,
+    closed_form_radius,
+    majorant_value,
+    resolve_name,
+    resolve_variant,
+)
+
+# Parameter values every record is checked at, spanning each range.
+SAMPLES = {"K": (1.0, 3.0, 1e300), "k": (0.25, 1.0), "n": (1, 4)}
+
+
+def problems(variant):
+    """Every combination of sample values for the variant's parameters."""
+    values = [SAMPLES[name] for name in variant.params]
+    for combo in itertools.product(*values):
+        yield RadiusProblem(variant.name, **dict(zip(variant.params, combo)))
+
+
+def by_name(records):
+    return pytest.mark.parametrize("record", records, ids=[r.name for r in records])
+
+
+def test_tags_and_aliases_are_unique_and_resolve():
+    for names, records, resolve in (
+        (VARIANTS, VARIANT_TABLE, resolve_variant),
+        (MAP_NAMES, MAP_TABLE, resolve_name),
+    ):
+        assert len(set(names)) == len(records)
+        aliases = [r.alias for r in records if r.alias]
+        assert len(set(aliases)) == len(aliases)
+        for record in records:
+            assert resolve(record.name) == record.name
+            if record.alias:
+                assert record.alias not in names  # an alias never shadows a tag
+                assert resolve(record.alias) == record.name
+
+
+@by_name(VARIANT_TABLE)
+def test_variant_record_is_well_formed(record):
+    assert set(record.params) <= set(SAMPLES)
+    assert record.bound in ("1", "d", "1+|a|")
+    assert record.closed_form or record.majorant
+
+
+@by_name([v for v in VARIANT_TABLE if v.majorant])
+def test_majorant_changes_sign(record):
+    for p in problems(record):
+        assert majorant_value(p, 0.001) < 0.0 < majorant_value(p, 0.99)
+
+
+@by_name([v for v in VARIANT_TABLE if v.closed_form])
+def test_closed_form_lies_in_unit_interval(record):
+    for p in problems(record):
+        assert 0.0 < closed_form_radius(p) < 1.0
+
+
+@by_name(MAP_TABLE)
+def test_map_witnesses_are_real_variants_with_presets(record):
+    assert record.witness_for
+    witnessed = [v for v in VARIANT_TABLE if v.name in record.witness_for]
+    assert len(witnessed) == len(record.witness_for)
+    if any(v.bound == "d" for v in witnessed):
+        assert record.distance is not None and record.distance > 0.0
+    pinned = {name for name, _ in record.pins}
+    assert pinned <= {name for v in witnessed for name in v.params}
+    assert record.tail_constant > 0.0
