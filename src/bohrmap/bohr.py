@@ -105,13 +105,23 @@ def bohr_partial_sum(
     """
     if not 0.0 <= r < 1.0:
         raise ValueError("r must lie in [0, 1)")
+    moduli = _checked_moduli(f, M, tail_constant)
+    return _partial_sum(moduli, r, tail_constant)
+
+
+def _checked_moduli(f: HarmonicMap, M: int | None, tail_constant: float) -> np.ndarray:
+    """|a_m| + |b_m| for m = 1..M, after checking M and the tail constant."""
     if M is None:
         M = f.order
     if not 0 <= M <= f.order:
         raise ValueError("M must lie in [0, truncation order]")
     if tail_constant < 0.0:
         raise ValueError("tail_constant must be >= 0")
-    moduli = f.coefficient_moduli()[1 : M + 1]
+    return f.coefficient_moduli()[1 : M + 1]
+
+
+def _partial_sum(moduli: np.ndarray, r: float, tail_constant: float) -> tuple[float, float]:
+    M = len(moduli)
     powers = r ** np.arange(1, M + 1, dtype=np.float64)
     total = float(moduli @ powers) if M >= 1 else 0.0
     return total, tail_constant * m2_tail(r, M)
@@ -152,8 +162,9 @@ def verify_inequality(
     grid = np.linspace(0.0, top, grid_size)
     sums = np.empty(grid_size)
     tails = np.empty(grid_size)
+    moduli = _checked_moduli(f, M, tail_constant)
     for i, r in enumerate(grid):
-        sums[i], tails[i] = bohr_partial_sum(f, float(r), M=M, tail_constant=tail_constant)
+        sums[i], tails[i] = _partial_sum(moduli, float(r), tail_constant)
     return BohrProfile(
         map_id=map_id,
         r_grid=grid,

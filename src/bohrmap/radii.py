@@ -93,7 +93,7 @@ VARIANT_TABLE = (
     Variant("thm11_univalent", "thm11", (), "d",
             "subordinates of a univalent analytic map; bound is the boundary distance d; "
             "radius 3-sqrt(8)",
-            closed_form=lambda p: 3.0 - math.sqrt(8.0)),
+            closed_form=lambda p: 1.0 / (3.0 + math.sqrt(8.0))),
     Variant("thm11_convex", None, (), "d",
             "subordinates of a convex univalent analytic map; bound d; radius 1/3",
             closed_form=lambda p: 1.0 / 3.0),

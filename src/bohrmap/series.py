@@ -12,6 +12,8 @@ the coefficient of the exact (infinite) operation.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 DEFAULT_ORDER = 2000
@@ -126,6 +128,16 @@ def compose(f: PowerSeries, psi: PowerSeries, order: int | None = None) -> Power
     composite's coefficient at any power p depends only on coefficients of f
     and psi up to p; with the default order min(f.order, psi.order) the
     result is truncation-exact.
+
+    Baby-step/giant-step evaluation (Paterson and Stockmeyer 1973; Brent and
+    Kung 1978 for power series).  With n = order + 1, L <= n terms of f kept
+    and s = isqrt(L), f(w) = sum_j B_j(w) w^(js) where B_j(w) = sum_{i<s}
+    f_{js+i} w^i.  The baby steps psi^0..psi^(s-1) and the giant step psi^s
+    take s truncated convolutions; every B_j(psi) comes out of one
+    (ceil(L/s) x s) @ (s x n) matrix product; Horner over psi^s takes
+    ceil(L/s) - 1 more convolutions.  That is about 2 sqrt(n) convolutions
+    of length n, O(n^2.5) in all, where Horner over psi itself needs n of
+    them, O(n^3).  Every product is truncated to ``order``.
     """
     if psi.coeffs[0] != 0:
         raise ValueError("inner series must satisfy psi(0) == 0")
@@ -136,12 +148,18 @@ def compose(f: PowerSeries, psi: PowerSeries, order: int | None = None) -> Power
     n = order + 1
     fc = f.coeffs[:n]
     pc = psi.coeffs[:n]
-    # Horner in psi: acc <- acc * psi + f_m, truncating every product.
-    acc = np.zeros(n, dtype=np.complex128)
-    acc[0] = fc[-1]
-    for m in range(len(fc) - 2, -1, -1):
-        acc = np.convolve(acc, pc)[:n]
-        acc[0] += fc[m]
+    s = math.isqrt(len(fc))
+    baby = np.zeros((s, n), dtype=np.complex128)
+    baby[0, 0] = 1.0
+    for i in range(1, s):
+        baby[i] = np.convolve(baby[i - 1], pc)[:n]
+    giant = np.convolve(baby[-1], pc)[:n]
+    blocks = np.zeros(-(-len(fc) // s) * s, dtype=np.complex128)
+    blocks[: len(fc)] = fc
+    inner = blocks.reshape(-1, s) @ baby
+    acc = inner[-1]
+    for j in range(len(inner) - 2, -1, -1):
+        acc = np.convolve(acc, giant)[:n] + inner[j]
     return PowerSeries(acc)
 
 

@@ -8,6 +8,8 @@ quasiconformal closed forms are evaluated the same way, as stated, and the
 package's radii must match them over the whole range of K.
 """
 
+import math
+
 import pytest
 
 mp = pytest.importorskip("mpmath")
@@ -84,3 +86,11 @@ def test_quasiconformal_closed_forms(variant, K):
         exact = QUASI_RADII[variant](mp.mpf(K))
         got = closed_form_radius(RadiusProblem(variant, K=K))
         assert abs(got - exact) <= 1e-15 * exact
+
+
+def test_univalent_closed_form_is_correctly_rounded():
+    # stated as 3 - sqrt(8); in binary64 that difference cancels ~10 ulp
+    with mp.workdps(DIGITS):
+        exact = 3 - mp.sqrt(8)
+        got = closed_form_radius(RadiusProblem("thm11_univalent"))
+        assert abs(got - exact) <= math.ulp(got) / 2

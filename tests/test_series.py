@@ -13,6 +13,7 @@ from bohrmap import (
     eval_harmonic,
     evaluate,
     HarmonicMap,
+    random_schwarz,
     term_differentiate,
     term_integrate,
 )
@@ -175,6 +176,80 @@ class TestCompose:
         f = PowerSeries(np.ones(10))
         psi = PowerSeries([0.0, 1.0]).truncated(5)
         assert compose(f, psi).order == 5
+
+
+def horner_compose(f, psi, order):
+    """The O(n^3) Horner composition compose() replaced, kept as an oracle."""
+    n = order + 1
+    fc, pc = f.coeffs[:n], psi.coeffs[:n]
+    acc = np.zeros(n, dtype=np.complex128)
+    acc[0] = fc[-1]
+    for m in range(len(fc) - 2, -1, -1):
+        acc = np.convolve(acc, pc)[:n]
+        acc[0] += fc[m]
+    return acc
+
+
+def assert_matches_horner(f, psi, order):
+    got = compose(f, psi, order).coeffs
+    want = horner_compose(f, psi, order)
+    assert got.shape == want.shape == (order + 1,)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def random_pair(rng, f_len, psi_len):
+    """Random complex f and a Schwarz-like psi (psi(0) = 0, sum |psi_m| = 1)."""
+    f = rng.normal(size=f_len) + 1j * rng.normal(size=f_len)
+    psi = rng.normal(size=psi_len) + 1j * rng.normal(size=psi_len)
+    psi[0] = 0.0
+    if psi_len > 1:
+        psi /= np.sum(np.abs(psi))
+    return PowerSeries(f), PowerSeries(psi)
+
+
+class TestComposeAgainstHorner:
+    """Baby-step/giant-step compose agrees with Horner to 1e-13 (max-norm relative)."""
+
+    @pytest.mark.parametrize("order", range(61))
+    def test_random_inputs_at_every_order(self, order):
+        # covers square (0, 3, 8, ..., 48) and non-square order + 1
+        rng = np.random.default_rng(order)
+        assert_matches_horner(*random_pair(rng, order + 1, order + 1), order)
+
+    @pytest.mark.parametrize(
+        "f_len, psi_len, order", [(7, 40, 39), (40, 4, 39), (7, 4, 30), (1, 5, 9), (17, 2, 50)]
+    )
+    def test_short_inputs_and_order_above_both(self, f_len, psi_len, order):
+        rng = np.random.default_rng([f_len, psi_len, order])
+        assert_matches_horner(*random_pair(rng, f_len, psi_len), order)
+
+    @pytest.mark.parametrize("j", [1, 2, 3, 7])
+    def test_monomial_inner(self, j):
+        c = 0.6 * np.exp(0.7j)
+        f = PowerSeries(np.arange(1.0, 52.0))
+        psi = PowerSeries(np.r_[np.zeros(j), c]).truncated(50)
+        assert_matches_horner(f, psi, 50)
+        # f(c z^j) puts f_k c^k at slot k j and nothing elsewhere
+        want = np.zeros(51, dtype=np.complex128)
+        k = np.arange(0, 50 // j + 1)
+        want[k * j] = f.coeffs[k] * c**k
+        assert np.allclose(compose(f, psi, 50).coeffs, want, rtol=1e-13, atol=0.0)
+
+    def test_campaign_maps_over_200_seeds(self):
+        m = np.arange(0.0, 201.0)
+        maps = (PowerSeries(m), PowerSeries(np.minimum(m, 1.0)))  # Koebe, half-plane
+        for seed in range(200):
+            psi = random_schwarz(seed, 1 + seed % 8).series
+            for f in maps:
+                assert_matches_horner(f, psi, 200)
+
+    @pytest.mark.parametrize("order", [0, 1, 5, 24, 25, 37])
+    def test_truncation_exact(self, order):
+        rng = np.random.default_rng([order, 1])
+        f, psi = random_pair(rng, 60, 45)
+        cut = compose(f.truncated(order), psi.truncated(order), order)
+        assert compose(f, psi, order) == cut
+        assert compose(f, psi) == compose(f.truncated(psi.order), psi)
 
 
 class TestHarmonicMap:

@@ -47,6 +47,14 @@ class TestBracketRoot:
         assert cert.root == pytest.approx(0.5, abs=1e-13)
         assert cert.residual == 0.0
 
+    @pytest.mark.parametrize("zero, hi", [(0.25, 0.5), (0.375, 0.75)])
+    def test_exact_zero_bracket_stays_within_tol(self, zero, hi):
+        # zero +- tol/2 rounds outwards here: the width was 1.00003e-13
+        cert = bracket_root(lambda r: r - zero, 0.0, hi)
+        assert cert.root == zero and cert.residual == 0.0
+        assert cert.lo < zero < cert.hi
+        assert cert.hi - cert.lo <= 1e-13
+
     def test_deterministic(self):
         f = lambda r: r * r + r - 0.5
         a = bracket_root(f, 1e-9, 1 - 1e-9)
@@ -84,7 +92,7 @@ class TestCertificates:
     def test_degenerate_certificate_for_closed_form(self):
         cert = solve_radius(RadiusProblem("thm11_univalent"))
         assert cert.lo == cert.hi == cert.root
-        assert cert.root == pytest.approx(3.0 - math.sqrt(8.0), rel=1e-15)
+        assert cert.root == pytest.approx(1.0 / (3.0 + math.sqrt(8.0)), rel=1e-15)
         assert cert.iterations == 0
         assert cert.residual == 0.0
         assert not cert.monotone_checked
@@ -99,6 +107,24 @@ class TestCertificates:
 
 
 class TestSolveRadius:
+    def test_lower_bracket_steps_below_the_root(self, monkeypatch):
+        # cor25 at n = 1e5 has its root near 1e-10, under the 1e-9 default
+        import bohrmap.solver
+
+        p = RadiusProblem("cor25_monomial", n=100_000)
+        seen = []
+        monkeypatch.setattr(
+            bohrmap.solver, "bracket_root", lambda f, lo, hi, **kw: seen.append((lo, hi))
+        )
+        solve_radius(p)
+        (lo, hi), = seen
+        assert lo < 1e-10 and hi == 1 - 1e-9
+        assert majorant_value(p, lo) < 0.0 < majorant_value(p, hi)
+        # unpatched, the bracket is valid and the residual guard decides
+        monkeypatch.undo()
+        with pytest.raises(RuntimeError, match="residual"):
+            solve_radius(p)
+
     def test_mobius_root_matches_cubic_oracle(self):
         # the majorant vanishes where r^3 - 3r^2 + 5r - 1 = 0
         roots = np.roots([1.0, -3.0, 5.0, -1.0])
