@@ -21,7 +21,6 @@ WIDTH_TOL = 1e-13
 RESIDUAL_TOL = 1e-9
 MONOTONE_GRID = 1000
 _MAX_ITERATIONS = 200
-_LOWEST_BRACKET = 1e-300
 
 
 @dataclass(frozen=True)
@@ -130,10 +129,8 @@ def solve_radius(p: RadiusProblem, tol: float = WIDTH_TOL) -> RootCertificate:
     Root-defined variants get a monotone scan of the majorant on 1000
     interior points of (0, 0.99) followed by certified bisection on
     [1e-9, 1 - 1e-9] (the majorants diverge at r = 1, so the upper end is
-    clamped away from it).  Where the majorant is already >= 0 at 1e-9, the
-    lower end steps down by factors of 1000 until it is negative.
-    Closed-form variants return the algebraic value as a degenerate
-    certificate, after checking that it lies in (0, 1).
+    clamped away from it).  Closed-form variants return the algebraic value
+    as a degenerate certificate, after checking that it lies in (0, 1).
     """
     if not p.root_defined:
         root = closed_form_radius(p)
@@ -153,17 +150,12 @@ def solve_radius(p: RadiusProblem, tol: float = WIDTH_TOL) -> RootCertificate:
     grid = np.linspace(0.0, 0.99, MONOTONE_GRID + 2)[1:-1]
     values = majorant_value(p, grid)
     monotone = bool(np.all(np.diff(values) > 0.0))
-    lo, hi = DEFAULT_BRACKET
-    # Large n pushes the root below 1e-9 (cor25 at n = 1e5 has it near
-    # 1e-10): step the lower end down until the majorant is negative there.
-    while majorant_value(p, lo) >= 0.0 and lo > _LOWEST_BRACKET:
-        lo *= 1e-3
     # achievable residual ~ slope * width; 100 covers the catalogued slopes,
     # so loosening tol does not make the residual guard unsatisfiable
     return bracket_root(
         lambda r: majorant_value(p, r),
-        lo,
-        hi,
+        DEFAULT_BRACKET[0],
+        DEFAULT_BRACKET[1],
         tol=tol,
         residual_tol=max(RESIDUAL_TOL, 100.0 * tol),
         problem=p,

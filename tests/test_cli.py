@@ -48,14 +48,6 @@ class TestRadius:
         assert exc.value.code == 2
         assert "K must be finite" in capsys.readouterr().err
 
-    def test_root_below_the_default_bracket_is_not_a_usage_error(self, capsys):
-        # the cor25 root at n = 1e5 is ~1e-10, under the 1e-9 starting bracket;
-        # at this n the residual guard (exit 1) still refuses the certificate
-        code, out, err = run(capsys, "radius", "--theorem", "cor25", "--n", "100000")
-        assert code == 1
-        assert out == ""
-        assert "residual" in err and "bracket invalid" not in err
-
     def test_huge_K_gives_the_limit_radius(self, capsys):
         # (2K+1-sqrt(K(3K+2)))/(K+1) -> 2 - sqrt(3) as K -> inf
         for theorem in ("thm23", "thm23_sub"):

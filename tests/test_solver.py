@@ -107,24 +107,6 @@ class TestCertificates:
 
 
 class TestSolveRadius:
-    def test_lower_bracket_steps_below_the_root(self, monkeypatch):
-        # cor25 at n = 1e5 has its root near 1e-10, under the 1e-9 default
-        import bohrmap.solver
-
-        p = RadiusProblem("cor25_monomial", n=100_000)
-        seen = []
-        monkeypatch.setattr(
-            bohrmap.solver, "bracket_root", lambda f, lo, hi, **kw: seen.append((lo, hi))
-        )
-        solve_radius(p)
-        (lo, hi), = seen
-        assert lo < 1e-10 and hi == 1 - 1e-9
-        assert majorant_value(p, lo) < 0.0 < majorant_value(p, hi)
-        # unpatched, the bracket is valid and the residual guard decides
-        monkeypatch.undo()
-        with pytest.raises(RuntimeError, match="residual"):
-            solve_radius(p)
-
     def test_mobius_root_matches_cubic_oracle(self):
         # the majorant vanishes where r^3 - 3r^2 + 5r - 1 = 0
         roots = np.roots([1.0, -3.0, 5.0, -1.0])
