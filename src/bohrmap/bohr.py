@@ -34,7 +34,7 @@ class BohrProfile:
     partial_sums: np.ndarray
     tail_bounds: np.ndarray
     bound: float
-    verdicts: np.ndarray = field(default=None)
+    verdicts: np.ndarray = field(init=False)
 
     def __post_init__(self):
         r = np.asarray(self.r_grid, dtype=np.float64)
@@ -50,17 +50,10 @@ class BohrProfile:
             raise ValueError("tail bounds must be nonnegative")
         if not self.bound > 0.0:
             raise ValueError("bound must be positive")
-        expected = sums + tails <= self.bound
-        if self.verdicts is None:
-            verdicts = expected
-        else:
-            verdicts = np.asarray(self.verdicts, dtype=bool)
-            if verdicts.shape != r.shape or np.any(verdicts != expected):
-                raise ValueError("verdicts must equal (partial + tail <= bound)")
         object.__setattr__(self, "r_grid", r)
         object.__setattr__(self, "partial_sums", sums)
         object.__setattr__(self, "tail_bounds", tails)
-        object.__setattr__(self, "verdicts", verdicts)
+        object.__setattr__(self, "verdicts", sums + tails <= self.bound)
 
     @property
     def all_pass(self) -> bool:
@@ -106,7 +99,8 @@ def bohr_partial_sum(
     if not 0.0 <= r < 1.0:
         raise ValueError("r must lie in [0, 1)")
     moduli = _checked_moduli(f, M, tail_constant)
-    return _partial_sum(moduli, r, tail_constant)
+    (total,) = _sums(moduli, [r])
+    return total, tail_constant * m2_tail(r, len(moduli))
 
 
 def _checked_moduli(f: HarmonicMap, M: int | None, tail_constant: float) -> np.ndarray:
@@ -120,11 +114,25 @@ def _checked_moduli(f: HarmonicMap, M: int | None, tail_constant: float) -> np.n
     return f.coefficient_moduli()[1 : M + 1]
 
 
-def _partial_sum(moduli: np.ndarray, r: float, tail_constant: float) -> tuple[float, float]:
-    M = len(moduli)
-    powers = r ** np.arange(1, M + 1, dtype=np.float64)
-    total = float(moduli @ powers) if M >= 1 else 0.0
-    return total, tail_constant * m2_tail(r, M)
+def _sums(moduli: np.ndarray, rs) -> list[float]:
+    """sum_{m=1..len(moduli)} moduli[m-1] r^m for each r in rs, as floats.
+
+    One dot product per radius: a (grid x M) matrix product rounds
+    differently, and each sum must equal bohr_partial_sum's bit for bit.
+    """
+    exps = np.arange(1, len(moduli) + 1, dtype=np.float64)
+    return [float(moduli @ (float(r) ** exps)) for r in rs]
+
+
+def _radius_and_bound(
+    p: RadiusProblem, radius: float | None, bound: float | None, distance: float | None
+) -> tuple[float, float]:
+    """The given radius and bound, else p's solved radius and own bound."""
+    if radius is None:
+        radius = solve_radius(p).root
+    if bound is None:
+        bound = p.bound(distance=distance)
+    return radius, float(bound)
 
 
 def verify_inequality(
@@ -139,38 +147,30 @@ def verify_inequality(
     M: int | None = None,
     tail_constant: float = DEFAULT_TAIL_CONSTANT,
     distance: float | None = None,
-    mobius_a: float | None = None,
 ) -> BohrProfile:
     """Profile of the Bohr inequality on r in [0, radius - margin].
 
     The radius defaults to the solved radius of p, the bound to p's own
-    (with ``distance``/``mobius_a`` forwarded for the variants that need
-    them).  Failing verdicts are data, not errors: the profile reports them
-    and ``all_pass`` summarizes.
+    (with ``distance`` forwarded for the distance-scaled variants).
+    Failing verdicts are data, not errors: the profile reports them and
+    ``all_pass`` summarizes.
     """
     if not margin > 0.0:
         raise ValueError("margin must be positive")
     if grid_size < 2:
         raise ValueError("grid_size must be >= 2")
-    if radius is None:
-        radius = solve_radius(p).root
-    if bound is None:
-        bound = p.bound(distance=distance, mobius_a=mobius_a)
+    radius, bound = _radius_and_bound(p, radius, bound, distance)
     top = radius - margin
     if not 0.0 < top < 1.0:
         raise ValueError("radius - margin must lie in (0, 1)")
     grid = np.linspace(0.0, top, grid_size)
-    sums = np.empty(grid_size)
-    tails = np.empty(grid_size)
     moduli = _checked_moduli(f, M, tail_constant)
-    for i, r in enumerate(grid):
-        sums[i], tails[i] = _partial_sum(moduli, float(r), tail_constant)
     return BohrProfile(
         map_id=map_id,
         r_grid=grid,
-        partial_sums=sums,
-        tail_bounds=tails,
-        bound=float(bound),
+        partial_sums=_sums(moduli, grid),
+        tail_bounds=[tail_constant * m2_tail(float(r), len(moduli)) for r in grid],
+        bound=bound,
     )
 
 
@@ -183,7 +183,6 @@ def sharpness_scan(
     radius: float | None = None,
     M: int | None = None,
     distance: float | None = None,
-    mobius_a: float | None = None,
 ) -> float:
     """Partial sum at (radius + epsilon) minus the bound.
 
@@ -194,15 +193,12 @@ def sharpness_scan(
     """
     if not epsilon > 0.0:
         raise ValueError("epsilon must be positive")
-    if radius is None:
-        radius = solve_radius(p).root
-    if bound is None:
-        bound = p.bound(distance=distance, mobius_a=mobius_a)
+    radius, bound = _radius_and_bound(p, radius, bound, distance)
     r = radius + epsilon
     if not r < 1.0:
         raise ValueError("radius + epsilon must stay below 1")
     total, _ = bohr_partial_sum(f, r, M=M, tail_constant=0.0)
-    return total - float(bound)
+    return total - bound
 
 
 def boundary_reach(

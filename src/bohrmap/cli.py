@@ -10,30 +10,22 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
 
 from .bohr import (
-    boundary_reach,
     check_pairing,
     default_bound_inputs,
     profile_for_named_map,
     sharpness_scan,
 )
-from .catalog import MAP_NAMES, NamedMap, closed_form_eval, make_map
+from .catalog import NamedMap, closed_form_eval, make_map
 from .radii import RadiusProblem
 from .selfcheck import run_selfcheck
 from .series import DEFAULT_COMPOSE_ORDER, DEFAULT_ORDER, circle_grid
 from .solver import WIDTH_TOL, solve_radius
 from .subordination import DOMINATION_TOL, domination_campaign
-
-TOL_ENV_VAR = "BOHRMAP_TOL"
-
-_EPILOG = f"""environment:
-  {TOL_ENV_VAR}    default width tolerance for root solving (overridden by --tol)
-"""
 
 
 def _fmt(x) -> str:
@@ -99,18 +91,6 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _default_tol(args) -> float:
-    if args.tol is not None:
-        return args.tol
-    env = os.environ.get(TOL_ENV_VAR)
-    if env is not None:
-        try:
-            return float(env)
-        except ValueError as exc:
-            raise ValueError(f"{TOL_ENV_VAR} must be a float, got {env!r}") from exc
-    return WIDTH_TOL
-
-
 def _problem_from_args(args) -> RadiusProblem:
     return RadiusProblem(args.theorem, K=args.K, k=args.dilatation_k, n=args.n)
 
@@ -125,10 +105,9 @@ def _pairing_params(spec: NamedMap, p: RadiusProblem) -> dict:
 
 
 def cmd_radius(args, parser) -> int:
-    tol = _default_tol(args)
     p = _problem_from_args(args)
-    cert = solve_radius(p, tol)
-    head = _header("radius", theorem=p.variant, K=p.K, k=p.k, n=p.n, tol=tol)
+    cert = solve_radius(p, args.tol)
+    head = _header("radius", theorem=p.variant, K=p.K, k=p.k, n=p.n, tol=args.tol)
     fields = [
         (key, getattr(cert, key))
         for key in ("root", "lo", "hi", "residual", "iterations", "monotone_checked")
@@ -140,16 +119,15 @@ def cmd_radius(args, parser) -> int:
 
 
 def cmd_table(args, parser) -> int:
-    tol = _default_tol(args)
     if args.max_n < 1:
         parser.error("--max-n must be >= 1")
     rows = []
     for n in range(1, args.max_n + 1):
-        cert = solve_radius(RadiusProblem("cor25_monomial", n=n), tol)
+        cert = solve_radius(RadiusProblem("cor25_monomial", n=n), args.tol)
         rows.append((n, cert.root))
     _render(
         args,
-        _header("table", max_n=args.max_n, tol=tol),
+        _header("table", max_n=args.max_n, tol=args.tol),
         [{"n": n, "r0": root, "r0_4dp": float(f"{root:.4f}")} for n, root in rows],
         csv=["n,r0,r0_4dp"] + [f"{n},{_fmt(root)},{root:.4f}" for n, root in rows],
         plain=[f"{'n':>3}  {'r0':<16}  r0_4dp"]
@@ -199,7 +177,7 @@ def cmd_image_curve(args, parser) -> int:
         parser.error("--r must lie in (0, 1)")
     if args.samples < 1:
         parser.error("--samples must be >= 1")
-    spec = _map_from_args(args)
+    spec = NamedMap(args.map, k=args.k)
     values = np.atleast_1d(closed_form_eval(spec, circle_grid(args.r, args.samples)))
     max_mod = float(np.max(np.abs(values)))
     lines = [
@@ -263,12 +241,12 @@ def _add_problem_flags(sub):
                      help="monomial exponent n >= 1 for thm24/cor25")
 
 
-def _add_map_flags(sub, default_order=DEFAULT_ORDER):
+def _add_map_flags(sub):
     sub.add_argument("--map", required=True,
                      help="catalog map name (aliases: koebe, half_plane, K, L, f0)")
     sub.add_argument("--k", type=float, default=None,
                      help="map parameter k for p_k/q_k")
-    sub.add_argument("--order", type=int, default=default_order,
+    sub.add_argument("--order", type=int, default=DEFAULT_ORDER,
                      help="truncation order")
 
 
@@ -277,20 +255,18 @@ def build_parser() -> argparse.ArgumentParser:
         prog="bohrmap",
         description="Bohr radii for univalent harmonic maps: certified roots, "
         "extremal maps, inequality verification.",
-        epilog=_EPILOG,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
     radius = subs.add_parser("radius", help="solve one radius problem")
     _add_problem_flags(radius)
-    radius.add_argument("--tol", type=float, default=None, help="bracket width tolerance")
+    radius.add_argument("--tol", type=float, default=WIDTH_TOL, help="bracket width tolerance")
     _add_common(radius)
     radius.set_defaults(func=cmd_radius)
 
     table = subs.add_parser("table", help="monomial-dilatation radius table")
     table.add_argument("--max-n", type=int, default=4, dest="max_n")
-    table.add_argument("--tol", type=float, default=None)
+    table.add_argument("--tol", type=float, default=WIDTH_TOL)
     _add_common(table)
     table.set_defaults(func=cmd_table)
 
@@ -315,7 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     curve = subs.add_parser("image-curve", help="CSV of f(r e^{it}) over a circle")
     curve.add_argument("--map", required=True)
     curve.add_argument("--k", type=float, default=None)
-    curve.add_argument("--order", type=int, default=DEFAULT_ORDER)
     curve.add_argument("--r", type=float, required=True)
     curve.add_argument("--samples", type=int, default=4096)
     curve.add_argument("--out", default=None)

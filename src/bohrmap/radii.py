@@ -294,15 +294,6 @@ def majorant_value(p: RadiusProblem, r):
 # ---------------------------------------------------------------------------
 # Series identities behind the majorants.
 
-IDENTITY_NAMES = (
-    "sum_m_rm",
-    "sum_rm",
-    "sum_rm_over_m",
-    "sum_m_mplus1_rm",
-    "sum_2m2plus1_over3_rm",
-)
-
-
 @dataclass(frozen=True)
 class MajorantIdentity:
     """A summable term family t(m) r^m with its closed form in r.
@@ -345,6 +336,7 @@ IDENTITIES = {
         + r / (3.0 * (1.0 - r)),
     ),
 }
+IDENTITY_NAMES = tuple(IDENTITIES)
 
 
 def m2_tail(r: float, M: int) -> float:

@@ -15,11 +15,11 @@ absorbs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bohr import BohrProfile, verify_inequality
+from .bohr import BohrProfile, _sums, verify_inequality
 from .catalog import NamedMap, make_map
 from .radii import RadiusProblem
 from .series import (
@@ -43,7 +43,7 @@ DOMINATION_TOL = 1e-9
 
 @dataclass(frozen=True)
 class SchwarzFunction:
-    """A Schwarz function as a truncated series plus its construction tag.
+    """A Schwarz function as a truncated series plus a readable description.
 
     params carries everything needed to reconstruct the function exactly
     (JSON-able scalars and lists), so campaign reports stay reproducible.
@@ -51,7 +51,6 @@ class SchwarzFunction:
 
     series: PowerSeries
     description: str
-    kind: str
     params: dict
 
 
@@ -89,7 +88,6 @@ def monomial_schwarz(c: complex, j: int) -> SchwarzFunction:
     fn = SchwarzFunction(
         series=PowerSeries(coeffs),
         description=f"monomial(c={c:.6g}, j={j})",
-        kind="monomial",
         params={"c": [c.real, c.imag], "j": j},
     )
     return _checked(fn, internal=False)
@@ -121,7 +119,6 @@ def blaschke_schwarz(
     fn = SchwarzFunction(
         series=series,
         description=f"blaschke(degree={len(zeros)}, rotation={float(rotation):.6g})",
-        kind="blaschke_product",
         params={
             "rotation": float(rotation),
             "zeros": [[w.real, w.imag] for w in zeros],
@@ -148,13 +145,10 @@ def random_schwarz(
     angles = rng.uniform(0.0, 2.0 * np.pi, degree)
     zeros = moduli * np.exp(1j * angles)
     fn = blaschke_schwarz(zeros, rotation, order)
-    params = dict(fn.params)
-    params.update({"seed": int(seed), "degree": int(degree)})
-    return SchwarzFunction(
-        series=fn.series,
+    return replace(
+        fn,
         description=f"random(seed={seed}, degree={degree})",
-        kind="blaschke_product",
-        params=params,
+        params={**fn.params, "seed": int(seed), "degree": int(degree)},
     )
 
 
@@ -175,14 +169,6 @@ def subordinate(f, psi: SchwarzFunction, order: int | None = None):
     raise TypeError("f must be a PowerSeries or HarmonicMap")
 
 
-def _moduli_sum(coeffs: np.ndarray, r: float) -> float:
-    M = len(coeffs) - 1
-    if M < 1:
-        return 0.0
-    powers = r ** np.arange(1, M + 1, dtype=np.float64)
-    return float(np.abs(coeffs[1:]) @ powers)
-
-
 def check_domination(
     f: PowerSeries,
     psi: SchwarzFunction,
@@ -191,52 +177,34 @@ def check_domination(
 ) -> float:
     """Worst margin of sum |a_m| r^m - sum |(f o psi)_m| r^m over the grid.
 
-    The grid must sit in (0, 1/3], where subordination forces the composite
-    sum below the original.  A margin >= -1e-9 counts as holding; anything
-    lower is a genuine counterexample to the implementation.
+    The grid must be nonempty and sit in (0, 1/3], where subordination
+    forces the composite sum below the original.  A margin >= -1e-9 counts
+    as holding; anything lower is a genuine counterexample to the
+    implementation.
     """
     if r_grid is None:
         r_grid = np.linspace(1.0 / 48.0, 1.0 / 3.0, 16)
     r_grid = np.asarray(r_grid, dtype=np.float64)
+    if r_grid.size == 0:
+        raise ValueError("r_grid must not be empty")
     if np.any(r_grid <= 0.0) or np.any(r_grid > 1.0 / 3.0):
         raise ValueError("r_grid must lie in (0, 1/3]")
     if M is None:
         M = min(f.order, DEFAULT_COMPOSE_ORDER)
-    composed = compose(f, psi.series, M)
-    base = f.truncated(M)
-    worst = np.inf
-    for r in r_grid:
-        margin = _moduli_sum(base.coeffs, float(r)) - _moduli_sum(
-            composed.coeffs, float(r)
-        )
-        worst = min(worst, margin)
-    return float(worst)
+    base = _sums(np.abs(f.truncated(M).coeffs[1:]), r_grid)
+    composed = _sums(np.abs(compose(f, psi.series, M).coeffs[1:]), r_grid)
+    return min(b - c for b, c in zip(base, composed))
 
 
-def check_harmonic_subordination_bound(
-    f1: HarmonicMap,
-    p: RadiusProblem,
-    *,
-    map_id: str = "subordinate",
-    margin: float = 1e-3,
-    grid_size: int = 256,
-) -> BohrProfile:
+def check_harmonic_subordination_bound(f1: HarmonicMap, p: RadiusProblem) -> BohrProfile:
     """Bohr profile of a subordinate harmonic map up to the min-rule radius.
 
     The radius is min(1/3, base radius of p).  Tail constant 0: the inputs
     here are exact truncations whose dropped-tail contribution at r <= 1/3
     is below 1e-12 at order 200.
     """
-    radius = min_rule_radius(p)
     return verify_inequality(
-        f1,
-        p,
-        map_id=map_id,
-        bound=p.bound(),
-        radius=radius,
-        margin=margin,
-        grid_size=grid_size,
-        tail_constant=0.0,
+        f1, p, map_id="subordinate", radius=min_rule_radius(p), tail_constant=0.0
     )
 
 
@@ -250,24 +218,26 @@ def domination_campaign(
 
     Each seed draws a product of degree 1 + seed mod 8 and runs against
     every named map.  Returns a JSON-able report with per-case margins and
-    the overall worst margin.
+    the overall worst margin.  Empty seed or map lists are refused: a
+    report with no case checked would read as holding.
     """
+    seeds, map_names = list(seeds), tuple(map_names)
+    if not seeds or not map_names:
+        raise ValueError("a campaign needs at least one seed and one map")
     bases = {
         name: make_map(NamedMap(name, order=order)).h for name in map_names
     }
     cases = []
-    worst = np.inf
     for seed in seeds:
         psi = random_schwarz(seed, degree=1 + seed % MAX_RANDOM_DEGREE, order=order)
         for name in map_names:
             m = check_domination(bases[name], psi, r_grid=r_grid)
-            worst = min(worst, m)
             cases.append(
                 {"seed": int(seed), "psi": psi.description, "map": name, "margin": m}
             )
     return {
         "order": order,
         "count": len(cases),
-        "worst_margin": float(worst),
+        "worst_margin": min(c["margin"] for c in cases),
         "cases": cases,
     }

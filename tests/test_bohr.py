@@ -84,14 +84,6 @@ class TestBohrProfile:
         assert prof.verdicts.tolist() == [True, True, False]
         assert not prof.all_pass
 
-    def test_rejects_wrong_verdicts(self):
-        r = np.array([0.0, 0.1])
-        with pytest.raises(ValueError):
-            BohrProfile(
-                "t", r, np.array([0.0, 2.0]), np.zeros(2), 1.0,
-                verdicts=np.array([True, True]),
-            )
-
     def test_rejects_decreasing_grid(self):
         with pytest.raises(ValueError):
             BohrProfile(
@@ -142,6 +134,19 @@ class TestVerifyInequality:
         )
         assert not prof.all_pass
         assert prof.verdicts[0]  # small r still passes
+
+    @pytest.mark.parametrize(
+        "name, M, C", [("koebe_analytic", None, 2.0), ("f0_sharp", 300, 2.0),
+                       ("harmonic_koebe_K", 0, 1.0)],
+    )
+    def test_each_point_equals_bohr_partial_sum(self, name, M, C):
+        # the grid runs through the same kernel as the single-radius call
+        f = make_map(NamedMap(name, order=500))
+        prof = verify_inequality(
+            f, RadiusProblem("thm22_bohr"), grid_size=33, M=M, tail_constant=C
+        )
+        for r, s, t in zip(prof.r_grid, prof.partial_sums, prof.tail_bounds):
+            assert (s, t) == bohr_partial_sum(f, float(r), M=M, tail_constant=C)
 
     def test_identity_map_trivially_passes(self):
         f = identity_map()

@@ -60,23 +60,6 @@ class TestRadius:
             main(["radius", "--theorem", "thm99"])
         assert exc.value.code == 2
 
-    def test_tol_env_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("BOHRMAP_TOL", "1e-6")
-        code, out, _ = run(capsys, "radius", "--theorem", "cor25", "--n", "1")
-        assert code == 0
-        assert "tol=1e-06" in out.splitlines()[0]
-        # flag wins over the environment
-        code, out, _ = run(
-            capsys, "radius", "--theorem", "cor25", "--n", "1", "--tol", "1e-13"
-        )
-        assert "tol=1e-13" in out.splitlines()[0]
-
-    def test_bad_env_value_exits_two(self, capsys, monkeypatch):
-        monkeypatch.setenv("BOHRMAP_TOL", "oops")
-        with pytest.raises(SystemExit) as exc:
-            main(["radius", "--theorem", "thm211"])
-        assert exc.value.code == 2
-
     def test_deterministic_output(self, capsys):
         _, out1, _ = run(capsys, "radius", "--theorem", "thm210")
         _, out2, _ = run(capsys, "radius", "--theorem", "thm210")
@@ -227,6 +210,12 @@ class TestCampaign:
         assert code == 0
         assert "worst_margin" in out
         assert "all_pass = true" in out
+
+    def test_empty_map_list_exits_two(self, capsys):
+        # a report with no case checked would read as holding
+        with pytest.raises(SystemExit) as exc:
+            main(["subordination-campaign", "--cases", "2", "--maps", ","])
+        assert exc.value.code == 2
 
 
 class TestSelfcheck:

@@ -39,14 +39,12 @@ def outcome(argv):
 @pytest.mark.parametrize("entry", ENTRIES, ids=[" ".join(e["argv"]) for e in ENTRIES])
 def test_invocation_matches_golden(entry, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
-    monkeypatch.delenv("BOHRMAP_TOL", raising=False)
     code, stdout, stderr = outcome(entry["argv"])
     assert (code, stdout, stderr) == (entry["code"], entry["stdout"], entry["stderr"])
 
 
 if __name__ == "__main__":
     os.environ["COLUMNS"] = "80"
-    os.environ.pop("BOHRMAP_TOL", None)
     for entry in ENTRIES:
         entry["code"], entry["stdout"], entry["stderr"] = outcome(entry["argv"])
         print(entry["code"], " ".join(entry["argv"]), file=sys.stderr)

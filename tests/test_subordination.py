@@ -12,6 +12,7 @@ from bohrmap import (
     bohr_partial_sum,
     check_domination,
     check_harmonic_subordination_bound,
+    compose,
     domination_campaign,
     make_map,
     monomial_schwarz,
@@ -141,6 +142,27 @@ class TestDomination:
         f = make_map(NamedMap("koebe_analytic", order=200)).h
         with pytest.raises(ValueError):
             check_domination(f, scaled_identity(0.5), r_grid=np.array([0.4]))
+        # no point checked is no proof
+        with pytest.raises(ValueError):
+            check_domination(f, scaled_identity(0.5), r_grid=[])
+
+    @pytest.mark.parametrize(
+        "name, seed, M, r_grid",
+        [("koebe_analytic", 7, None, None),
+         ("half_plane_analytic", 12, 60, [0.05, 0.2, 1.0 / 3.0])],
+    )
+    def test_margin_is_termwise_moduli_difference(self, name, seed, M, r_grid):
+        f = make_map(NamedMap(name, order=200)).h
+        psi = random_schwarz(seed, 1 + seed % 8)
+        order = 200 if M is None else M
+        rs = np.linspace(1.0 / 48.0, 1.0 / 3.0, 16) if r_grid is None else r_grid
+        m = np.arange(1, order + 1, dtype=np.float64)
+        base = np.abs(f.truncated(order).coeffs[1:])
+        comp = np.abs(compose(f, psi.series, order).coeffs[1:])
+        want = min(
+            float(base @ float(r) ** m) - float(comp @ float(r) ** m) for r in rs
+        )
+        assert check_domination(f, psi, r_grid=r_grid, M=M) == want
 
 
 class TestHarmonicSubordinationBound:
@@ -172,6 +194,13 @@ class TestCampaign:
         a = domination_campaign(seeds=range(3))
         b = domination_campaign(seeds=range(3))
         assert a == b
+
+    def test_empty_campaign_refused(self):
+        # a report with no case in it would read as holding
+        with pytest.raises(ValueError):
+            domination_campaign(seeds=[])
+        with pytest.raises(ValueError):
+            domination_campaign(seeds=range(2), map_names=())
 
     def test_single_map_campaign(self):
         report = domination_campaign(
