@@ -10,7 +10,7 @@ S(r) + tail <= bound, so a pass is a proof at that point, not an estimate.
 
 from __future__ import annotations
 
-import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,14 +42,14 @@ class BohrProfile:
         tails = np.asarray(self.tail_bounds, dtype=np.float64)
         if r.ndim != 1 or sums.shape != r.shape or tails.shape != r.shape:
             raise ValueError("grid, sums, and tails must be 1-d and equal length")
-        if np.any(r < 0.0) or np.any(r >= 1.0) or np.any(np.diff(r) <= 0.0):
+        # written as "all inside" so that NaN, which fails every comparison, is refused
+        if not (np.all((r >= 0.0) & (r < 1.0)) and np.all(np.diff(r) > 0.0)):
             raise ValueError("r_grid must be strictly increasing within [0, 1)")
-        if np.any(sums < 0.0) or np.any(np.diff(sums) < 0.0):
+        if not (np.all(sums >= 0.0) and np.all(np.diff(sums) >= 0.0)):
             raise ValueError("partial sums must be nonnegative and nondecreasing")
-        if np.any(tails < 0.0):
+        if not np.all(tails >= 0.0):
             raise ValueError("tail bounds must be nonnegative")
-        if not self.bound > 0.0:
-            raise ValueError("bound must be positive")
+        _check_bound(self.bound)
         object.__setattr__(self, "r_grid", r)
         object.__setattr__(self, "partial_sums", sums)
         object.__setattr__(self, "tail_bounds", tails)
@@ -58,17 +58,6 @@ class BohrProfile:
     @property
     def all_pass(self) -> bool:
         return bool(np.all(self.verdicts))
-
-    def to_csv(self) -> str:
-        lines = ["r,partial_sum,tail_bound,bound,verdict"]
-        for r, s, t, v in zip(
-            self.r_grid, self.partial_sums, self.tail_bounds, self.verdicts
-        ):
-            verdict = "pass" if v else "fail"
-            lines.append(
-                f"{r:.12g},{s:.12g},{t:.12g},{self.bound:.12g},{verdict}"
-            )
-        return "\n".join(lines) + "\n"
 
     def to_dict(self) -> dict:
         return {
@@ -79,9 +68,6 @@ class BohrProfile:
             "bound": self.bound,
             "verdicts": [bool(v) for v in self.verdicts],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
 
 def bohr_partial_sum(
@@ -124,6 +110,11 @@ def _sums(moduli: np.ndarray, rs) -> list[float]:
     return [float(moduli @ (float(r) ** exps)) for r in rs]
 
 
+def _check_bound(bound: float) -> None:
+    if not (math.isfinite(bound) and bound > 0.0):
+        raise ValueError("bound must be positive and finite")
+
+
 def _radius_and_bound(
     p: RadiusProblem, radius: float | None, bound: float | None, distance: float | None
 ) -> tuple[float, float]:
@@ -132,7 +123,9 @@ def _radius_and_bound(
         radius = solve_radius(p).root
     if bound is None:
         bound = p.bound(distance=distance)
-    return radius, float(bound)
+    bound = float(bound)
+    _check_bound(bound)
+    return radius, bound
 
 
 def verify_inequality(
@@ -180,8 +173,6 @@ def sharpness_scan(
     epsilon: float,
     *,
     bound: float | None = None,
-    radius: float | None = None,
-    M: int | None = None,
     distance: float | None = None,
 ) -> float:
     """Partial sum at (radius + epsilon) minus the bound.
@@ -193,11 +184,11 @@ def sharpness_scan(
     """
     if not epsilon > 0.0:
         raise ValueError("epsilon must be positive")
-    radius, bound = _radius_and_bound(p, radius, bound, distance)
+    radius, bound = _radius_and_bound(p, None, bound, distance)
     r = radius + epsilon
     if not r < 1.0:
         raise ValueError("radius + epsilon must stay below 1")
-    total, _ = bohr_partial_sum(f, r, M=M, tail_constant=0.0)
+    total, _ = bohr_partial_sum(f, r, tail_constant=0.0)
     return total - bound
 
 
@@ -269,10 +260,8 @@ def profile_for_named_map(
     p: RadiusProblem,
     *,
     bound: float | None = None,
-    radius: float | None = None,
     margin: float = DEFAULT_MARGIN,
     grid_size: int = DEFAULT_GRID_SIZE,
-    M: int | None = None,
 ) -> BohrProfile:
     """verify_inequality for a catalog map with its presets filled in."""
     check_pairing(spec, p)
@@ -282,10 +271,8 @@ def profile_for_named_map(
         p,
         map_id=spec.name,
         bound=bound,
-        radius=radius,
         margin=margin,
         grid_size=grid_size,
-        M=M,
         tail_constant=spec.record.tail_constant,
         **kwargs,
     )

@@ -15,6 +15,8 @@ import sys
 import numpy as np
 
 from .bohr import (
+    DEFAULT_GRID_SIZE,
+    DEFAULT_MARGIN,
     check_pairing,
     default_bound_inputs,
     profile_for_named_map,
@@ -152,7 +154,12 @@ def cmd_verify(args, parser) -> int:
         ("passes", f"{int(np.sum(profile.verdicts))}/{len(profile.verdicts)}"),
         ("all_pass", profile.all_pass),
     ]
-    _render(args, head, profile.to_dict(), fields, csv=profile.to_csv().splitlines())
+    rows = zip(profile.r_grid, profile.partial_sums, profile.tail_bounds, profile.verdicts)
+    csv = ["r,partial_sum,tail_bound,bound,verdict"] + [
+        f"{_fmt(r)},{_fmt(s)},{_fmt(t)},{_fmt(profile.bound)},{'pass' if v else 'fail'}"
+        for r, s, t, v in rows
+    ]
+    _render(args, head, profile.to_dict(), fields, csv=csv)
     return 0 if profile.all_pass else 1
 
 
@@ -225,8 +232,8 @@ def cmd_selfcheck(args, parser) -> int:
     return 0 if passed == len(results) else 1
 
 
-def _add_common(sub, formats=("plain", "csv", "json"), default_format="plain"):
-    sub.add_argument("--format", choices=formats, default=default_format)
+def _add_common(sub, default_format="plain"):
+    sub.add_argument("--format", choices=("plain", "csv", "json"), default=default_format)
     sub.add_argument("--out", default=None, help="write output to this file")
 
 
@@ -275,8 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_problem_flags(verify)
     verify.add_argument("--bound", type=float, default=None,
                         help="override the inequality bound")
-    verify.add_argument("--margin", type=float, default=1e-3)
-    verify.add_argument("--grid-size", type=int, default=256, dest="grid_size")
+    verify.add_argument("--margin", type=float, default=DEFAULT_MARGIN)
+    verify.add_argument("--grid-size", type=int, default=DEFAULT_GRID_SIZE, dest="grid_size")
     _add_common(verify, default_format="csv")
     verify.set_defaults(func=cmd_verify)
 

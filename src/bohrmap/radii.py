@@ -283,7 +283,7 @@ def majorant_value(p: RadiusProblem, r):
             f"{p.variant} has a closed-form radius; use closed_form_radius"
         )
     rs = np.asarray(r, dtype=np.float64)
-    if np.any(rs < 0.0) or np.any(rs >= 1.0):
+    if not np.all((rs >= 0.0) & (rs < 1.0)):
         raise ValueError("r must lie in [0, 1)")
     val = p.record.majorant(p, rs)
     if rs.ndim == 0:

@@ -8,9 +8,8 @@ monotone scan (uniqueness evidence; the analytic fact is not re-proven).
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -44,9 +43,6 @@ class RootCertificate:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
 
 def _eval_checked(f, x: float) -> float:
     val = float(f(x))
@@ -60,17 +56,18 @@ def bracket_root(
     lo: float,
     hi: float,
     tol: float = WIDTH_TOL,
-    residual_tol: float = RESIDUAL_TOL,
-    problem: RadiusProblem | None = None,
-    monotone_checked: bool = False,
 ) -> RootCertificate:
     """Bisect f on [lo, hi] down to bracket width tol.
 
-    Requires f(lo) < 0 < f(hi).  Pure bisection, no acceleration: identical
-    inputs give bit-identical certificates.
+    Requires f(lo) < 0 < f(hi) and |f(root)| <= max(1e-9, 100 tol).  Pure
+    bisection, no acceleration: identical inputs give bit-identical
+    certificates.  The certificate names no problem and claims no monotone
+    scan; solve_radius fills both in.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
+    if not math.isfinite(tol):
+        raise ValueError("tol must be finite")
     if not lo < hi:
         raise ValueError("bracket invalid: need lo < hi")
     flo = _eval_checked(f, lo)
@@ -108,18 +105,21 @@ def bracket_root(
             hi = mid
     root = 0.5 * (lo + hi)
     residual = abs(_eval_checked(f, root))
+    # achievable residual ~ slope * width; 100 covers the catalogued slopes,
+    # so loosening tol does not make the residual guard unsatisfiable
+    residual_tol = max(RESIDUAL_TOL, 100.0 * tol)
     if residual > residual_tol:
         raise RuntimeError(
             f"residual {residual!r} at root {root!r} exceeds {residual_tol!r}"
         )
     return RootCertificate(
-        problem=problem,
+        problem=None,
         lo=lo,
         hi=hi,
         root=root,
         residual=residual,
         iterations=iterations,
-        monotone_checked=monotone_checked,
+        monotone_checked=False,
     )
 
 
@@ -150,20 +150,11 @@ def solve_radius(p: RadiusProblem, tol: float = WIDTH_TOL) -> RootCertificate:
     grid = np.linspace(0.0, 0.99, MONOTONE_GRID + 2)[1:-1]
     values = majorant_value(p, grid)
     monotone = bool(np.all(np.diff(values) > 0.0))
-    # achievable residual ~ slope * width; 100 covers the catalogued slopes,
-    # so loosening tol does not make the residual guard unsatisfiable
-    return bracket_root(
-        lambda r: majorant_value(p, r),
-        DEFAULT_BRACKET[0],
-        DEFAULT_BRACKET[1],
-        tol=tol,
-        residual_tol=max(RESIDUAL_TOL, 100.0 * tol),
-        problem=p,
-        monotone_checked=monotone,
-    )
+    cert = bracket_root(lambda r: majorant_value(p, r), *DEFAULT_BRACKET, tol=tol)
+    return replace(cert, problem=p, monotone_checked=monotone)
 
 
-def min_rule_radius(p: RadiusProblem, tol: float = WIDTH_TOL) -> float:
+def min_rule_radius(p: RadiusProblem) -> float:
     """min(1/3, base radius): the subordination cap on a base problem.
 
     The base radius is the solved root for the monomial-dilatation variants
@@ -172,5 +163,5 @@ def min_rule_radius(p: RadiusProblem, tol: float = WIDTH_TOL) -> float:
     """
     if not p.record.min_rule_base:
         raise ValueError(f"{p.variant} carries no base radius for the min rule")
-    base = solve_radius(p, tol).root
+    base = solve_radius(p).root
     return min(1.0 / 3.0, base)

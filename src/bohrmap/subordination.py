@@ -45,13 +45,12 @@ DOMINATION_TOL = 1e-9
 class SchwarzFunction:
     """A Schwarz function as a truncated series plus a readable description.
 
-    params carries everything needed to reconstruct the function exactly
-    (JSON-able scalars and lists), so campaign reports stay reproducible.
+    For seeded random draws the description names the seed and degree, so
+    campaign reports stay reproducible.
     """
 
     series: PowerSeries
     description: str
-    params: dict
 
 
 def schwarz_sup(psi: SchwarzFunction | PowerSeries) -> float:
@@ -88,7 +87,6 @@ def monomial_schwarz(c: complex, j: int) -> SchwarzFunction:
     fn = SchwarzFunction(
         series=PowerSeries(coeffs),
         description=f"monomial(c={c:.6g}, j={j})",
-        params={"c": [c.real, c.imag], "j": j},
     )
     return _checked(fn, internal=False)
 
@@ -119,11 +117,6 @@ def blaschke_schwarz(
     fn = SchwarzFunction(
         series=series,
         description=f"blaschke(degree={len(zeros)}, rotation={float(rotation):.6g})",
-        params={
-            "rotation": float(rotation),
-            "zeros": [[w.real, w.imag] for w in zeros],
-            "order": order,
-        },
     )
     return _checked(fn, internal=True)
 
@@ -145,21 +138,16 @@ def random_schwarz(
     angles = rng.uniform(0.0, 2.0 * np.pi, degree)
     zeros = moduli * np.exp(1j * angles)
     fn = blaschke_schwarz(zeros, rotation, order)
-    return replace(
-        fn,
-        description=f"random(seed={seed}, degree={degree})",
-        params={**fn.params, "seed": int(seed), "degree": int(degree)},
-    )
+    return replace(fn, description=f"random(seed={seed}, degree={degree})")
 
 
-def subordinate(f, psi: SchwarzFunction, order: int | None = None):
+def subordinate(f, psi: SchwarzFunction):
     """f composed with psi: a PowerSeries or a HarmonicMap, matching f.
 
-    Harmonic maps compose component-wise (h o psi and g o psi).  The default
-    order is min(f.order, 200).
+    Harmonic maps compose component-wise (h o psi and g o psi), truncated
+    at order min(f.order, 200).
     """
-    if order is None:
-        order = min(f.order, DEFAULT_COMPOSE_ORDER)
+    order = min(f.order, DEFAULT_COMPOSE_ORDER)
     if isinstance(f, HarmonicMap):
         return HarmonicMap(
             compose(f.h, psi.series, order), compose(f.g, psi.series, order)
@@ -187,7 +175,7 @@ def check_domination(
     r_grid = np.asarray(r_grid, dtype=np.float64)
     if r_grid.size == 0:
         raise ValueError("r_grid must not be empty")
-    if np.any(r_grid <= 0.0) or np.any(r_grid > 1.0 / 3.0):
+    if not np.all((r_grid > 0.0) & (r_grid <= 1.0 / 3.0)):
         raise ValueError("r_grid must lie in (0, 1/3]")
     if M is None:
         M = min(f.order, DEFAULT_COMPOSE_ORDER)
@@ -212,7 +200,6 @@ def domination_campaign(
     seeds=range(200),
     map_names=("koebe_analytic", "half_plane_analytic"),
     order: int = DEFAULT_COMPOSE_ORDER,
-    r_grid=None,
 ) -> dict:
     """Seeded sweep of check_domination across random Schwarz functions.
 
@@ -231,7 +218,7 @@ def domination_campaign(
     for seed in seeds:
         psi = random_schwarz(seed, degree=1 + seed % MAX_RANDOM_DEGREE, order=order)
         for name in map_names:
-            m = check_domination(bases[name], psi, r_grid=r_grid)
+            m = check_domination(bases[name], psi)
             cases.append(
                 {"seed": int(seed), "psi": psi.description, "map": name, "margin": m}
             )

@@ -96,18 +96,26 @@ class TestBohrProfile:
                 "t", np.array([0.1, 0.2]), np.array([0.5, 0.4]), np.zeros(2), 1.0
             )
 
-    def test_csv_shape(self):
-        r = np.array([0.0, 0.1])
-        prof = BohrProfile("t", r, np.array([0.0, 0.5]), np.zeros(2), 1.0)
-        lines = prof.to_csv().strip().splitlines()
-        assert lines[0] == "r,partial_sum,tail_bound,bound,verdict"
-        assert len(lines) == 3
-        assert lines[1].endswith("pass")
+    @pytest.mark.parametrize(
+        "r, sums, tails",
+        [([0.0, math.nan], [0.0, 0.1], [0.0, 0.0]),
+         ([0.0, 0.1], [0.0, math.nan], [0.0, 0.0]),
+         ([0.0, 0.1], [0.0, 0.1], [0.0, math.nan])],
+    )
+    def test_rejects_nan(self, r, sums, tails):
+        # NaN fails every comparison, so it must not read as in range
+        with pytest.raises(ValueError):
+            BohrProfile("t", np.array(r), np.array(sums), np.array(tails), 1.0)
+
+    def test_rejects_infinite_bound(self):
+        # with bound = inf every verdict would be a pass
+        with pytest.raises(ValueError, match="bound must be positive and finite"):
+            BohrProfile("t", np.array([0.0, 0.1]), np.zeros(2), np.zeros(2), math.inf)
 
     def test_json_round_trip(self):
         r = np.array([0.0, 0.1])
         prof = BohrProfile("t", r, np.array([0.0, 0.5]), np.zeros(2), 1.0)
-        d = json.loads(prof.to_json())
+        d = json.loads(json.dumps(prof.to_dict()))
         assert set(d) == {
             "map_id", "r_grid", "partial_sums", "tail_bounds", "bound", "verdicts",
         }
@@ -154,6 +162,12 @@ class TestVerifyInequality:
         prof = verify_inequality(f, p, map_id="id", tail_constant=0.0)
         assert prof.all_pass
         assert prof.partial_sums[-1] == pytest.approx(prof.r_grid[-1], rel=1e-15)
+
+    def test_infinite_bound_refused(self):
+        # an infinite bound would make every verdict a pass
+        f = identity_map()
+        with pytest.raises(ValueError, match="bound must be positive and finite"):
+            verify_inequality(f, RadiusProblem("thm22_bohr"), bound=math.inf)
 
     def test_sum_near_one_at_thm211_radius(self):
         # the half-plane witness saturates its bound at the computed radius
@@ -235,6 +249,13 @@ class TestSharpness:
         p = RadiusProblem("thm211_convex")
         with pytest.raises(ValueError):
             sharpness_scan(f, p, 0.7)
+
+    @pytest.mark.parametrize("bound", [-1.0, 0.0, math.nan, math.inf])
+    def test_explicit_bound_must_be_positive_and_finite(self, bound):
+        f = make_map(NamedMap("half_plane_L", order=100))
+        p = RadiusProblem("thm211_convex")
+        with pytest.raises(ValueError, match="bound must be positive and finite"):
+            sharpness_scan(f, p, 0.01, bound=bound)
 
 
 class TestBoundaryReach:

@@ -55,6 +55,16 @@ class TestRadius:
             assert code == 0
             assert "root = 0.267949192431" in out
 
+    @pytest.mark.parametrize(
+        "argv", [["radius", "--theorem", "thm211"], ["table", "--max-n", "1"]]
+    )
+    def test_infinite_tol_exits_two(self, capsys, argv):
+        # an infinite width would certify the whole bracket
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--tol", "inf"])
+        assert exc.value.code == 2
+        assert "tol must be finite" in capsys.readouterr().err
+
     def test_unknown_theorem_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["radius", "--theorem", "thm99"])
@@ -101,6 +111,25 @@ class TestVerify:
         assert lines[1] == "r,partial_sum,tail_bound,bound,verdict"
         assert all(line.endswith("pass") for line in lines[2:])
 
+    def test_csv_shape(self, capsys):
+        code, out, _ = run(
+            capsys, "verify", "--map", "L", "--theorem", "thm211", "--bound", "0.5",
+            "--grid-size", "2",
+        )
+        assert code == 1
+        lines = out.strip().splitlines()
+        assert lines[1] == "r,partial_sum,tail_bound,bound,verdict"
+        assert len(lines) == 4  # header comment + column row + 2 grid points
+        assert lines[2] == "0,0,0,0.5,pass"
+        assert lines[3].endswith(",0.5,fail")
+
+    def test_infinite_bound_exits_two(self, capsys):
+        # with bound = inf every grid point would read as a pass
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--map", "L", "--theorem", "thm211", "--bound", "inf"])
+        assert exc.value.code == 2
+        assert "bound must be positive and finite" in capsys.readouterr().err
+
     def test_harmonic_koebe_passes(self, capsys):
         code, out, _ = run(
             capsys, "verify", "--map", "harmonic_koebe_K", "--theorem",
@@ -143,6 +172,14 @@ class TestSharpness:
         assert code == 0
         assert "excess = 0.0602119522761" in out
         assert "positive = true" in out
+
+    @pytest.mark.parametrize("bound", ["-1", "0", "nan"])
+    def test_bad_bound_exits_two(self, capsys, bound):
+        # a bound <= 0 makes any sum an excess; nan makes the excess nan
+        with pytest.raises(SystemExit) as exc:
+            main(["sharpness", "--map", "L", "--theorem", "thm211", "--bound", bound])
+        assert exc.value.code == 2
+        assert "bound must be positive and finite" in capsys.readouterr().err
 
     def test_json(self, capsys):
         code, out, _ = run(

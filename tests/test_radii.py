@@ -223,6 +223,11 @@ class TestMajorants:
             majorant_value(p, 1.0)
         with pytest.raises(ValueError):
             majorant_value(p, -0.1)
+        # NaN fails every comparison, so it must not read as in range
+        with pytest.raises(ValueError):
+            majorant_value(p, math.nan)
+        with pytest.raises(ValueError):
+            majorant_value(p, np.array([0.1, math.nan]))
 
     def test_closed_form_variants_have_no_majorant(self):
         with pytest.raises(ValueError):

@@ -38,8 +38,11 @@ class TestBracketRoot:
             bracket_root(lambda r: np.nan, 0.1, 0.9)
 
     def test_rejects_bad_tol(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="tol must be positive"):
             bracket_root(lambda r: r - 0.5, 0.1, 0.9, tol=0.0)
+        # an infinite width would certify the whole bracket
+        with pytest.raises(ValueError, match="tol must be finite"):
+            bracket_root(lambda r: r - 0.5, 0.1, 0.9, tol=math.inf)
 
     def test_exact_zero_hit_is_certified(self):
         # midpoint of the first bisection step is an exact root
@@ -87,7 +90,7 @@ class TestCertificates:
             "monotone_checked",
         }
         assert d["problem"]["variant"] == "thm27_mobius"
-        json.loads(cert.to_json())
+        json.loads(json.dumps(d))
 
     def test_degenerate_certificate_for_closed_form(self):
         cert = solve_radius(RadiusProblem("thm11_univalent"))

@@ -1,5 +1,7 @@
 """Schwarz compositions and coefficient domination."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -70,10 +72,8 @@ class TestSchwarzConstruction:
             random_schwarz(1, 9)
 
     def test_random_params_describe_the_draw(self):
-        psi = random_schwarz(12, 2)
-        assert psi.params["seed"] == 12
-        assert psi.params["degree"] == 2
-        assert len(psi.params["zeros"]) == 2
+        # campaign reports print the description: it must name the draw
+        assert random_schwarz(12, 2).description == "random(seed=12, degree=2)"
 
     def test_sup_on_raw_series(self):
         # sup over |z| = 0.999 of 1.2 z exceeds 1: such a series is not a
@@ -145,6 +145,9 @@ class TestDomination:
         # no point checked is no proof
         with pytest.raises(ValueError):
             check_domination(f, scaled_identity(0.5), r_grid=[])
+        # NaN fails every comparison, so it must not read as in range
+        with pytest.raises(ValueError):
+            check_domination(f, scaled_identity(0.5), r_grid=[0.1, math.nan])
 
     @pytest.mark.parametrize(
         "name, seed, M, r_grid",
