@@ -10,11 +10,10 @@ import argparse
 import numpy as np
 
 from bohrmap import (
-    MAP_NAMES,
+    MAP_TABLE,
     MobiusDilatation,
     MonomialDilatation,
     NamedMap,
-    PARAMETRIC_MAPS,
     circle_grid,
     closed_form_eval,
     dilatation_residual,
@@ -28,8 +27,9 @@ from bohrmap import (
 def catalog_tour(order):
     print("Catalog maps, series vs closed form at |z| = 0.3:")
     z = 0.3 * np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 32))
-    for name in MAP_NAMES:
-        k = 0.5 if name in PARAMETRIC_MAPS else None
+    for record in MAP_TABLE:
+        name = record.name
+        k = 0.5 if record.parametric else None
         spec = NamedMap(name, k=k, order=order)
         f = make_map(spec)
         gap = np.max(np.abs(eval_harmonic(f, z) - closed_form_eval(spec, z)))

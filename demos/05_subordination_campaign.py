@@ -15,8 +15,8 @@ from bohrmap import (
     check_domination,
     domination_campaign,
     make_map,
+    monomial_schwarz,
     random_schwarz,
-    scaled_identity,
 )
 
 
@@ -24,8 +24,8 @@ def single_examples():
     koebe = make_map(NamedMap("koebe_analytic", order=200)).h
     print("Hand-picked compositions against the Koebe map:")
     cases = [
-        ("identity (margin must be exactly 0)", scaled_identity(1.0)),
-        ("rotation by e^{i}", scaled_identity(cmath.exp(1j))),
+        ("identity (margin must be exactly 0)", monomial_schwarz(1.0, 1)),
+        ("rotation by e^{i}", monomial_schwarz(cmath.exp(1j), 1)),
         ("random Blaschke, seed 11, degree 3", random_schwarz(11, 3)),
     ]
     for label, psi in cases:

@@ -116,13 +116,13 @@ def _check_bound(bound: float) -> None:
 
 
 def _radius_and_bound(
-    p: RadiusProblem, radius: float | None, bound: float | None, distance: float | None
+    p: RadiusProblem, radius: float | None, bound: float | None
 ) -> tuple[float, float]:
     """The given radius and bound, else p's solved radius and own bound."""
     if radius is None:
         radius = solve_radius(p).root
     if bound is None:
-        bound = p.bound(distance=distance)
+        bound = p.bound()
     bound = float(bound)
     _check_bound(bound)
     return radius, bound
@@ -139,20 +139,19 @@ def verify_inequality(
     grid_size: int = DEFAULT_GRID_SIZE,
     M: int | None = None,
     tail_constant: float = DEFAULT_TAIL_CONSTANT,
-    distance: float | None = None,
 ) -> BohrProfile:
     """Profile of the Bohr inequality on r in [0, radius - margin].
 
-    The radius defaults to the solved radius of p, the bound to p's own
-    (with ``distance`` forwarded for the distance-scaled variants).
-    Failing verdicts are data, not errors: the profile reports them and
-    ``all_pass`` summarizes.
+    The radius defaults to the solved radius of p, the bound to p's own;
+    a distance-scaled variant has none, and takes the boundary distance d
+    as ``bound``.  Failing verdicts are data, not errors: the profile
+    reports them and ``all_pass`` summarizes.
     """
     if not margin > 0.0:
         raise ValueError("margin must be positive")
     if grid_size < 2:
         raise ValueError("grid_size must be >= 2")
-    radius, bound = _radius_and_bound(p, radius, bound, distance)
+    radius, bound = _radius_and_bound(p, radius, bound)
     top = radius - margin
     if not 0.0 < top < 1.0:
         raise ValueError("radius - margin must lie in (0, 1)")
@@ -173,7 +172,6 @@ def sharpness_scan(
     epsilon: float,
     *,
     bound: float | None = None,
-    distance: float | None = None,
 ) -> float:
     """Partial sum at (radius + epsilon) minus the bound.
 
@@ -184,7 +182,7 @@ def sharpness_scan(
     """
     if not epsilon > 0.0:
         raise ValueError("epsilon must be positive")
-    radius, bound = _radius_and_bound(p, None, bound, distance)
+    radius, bound = _radius_and_bound(p, None, bound)
     r = radius + epsilon
     if not r < 1.0:
         raise ValueError("radius + epsilon must stay below 1")
@@ -243,15 +241,15 @@ def check_pairing(spec: NamedMap, p: RadiusProblem) -> None:
 
 
 def default_bound_inputs(spec: NamedMap, p: RadiusProblem) -> dict:
-    """Keyword presets for RadiusProblem.bound for a catalog pairing.
+    """Keyword presets for verify_inequality and sharpness_scan for a catalog pairing.
 
-    Distance-scaled variants pick up the catalog's boundary distance for
-    the map; other variants need nothing.
+    Distance-scaled variants take the catalog's boundary distance for the
+    map as their ``bound``; other variants need nothing.
     """
     if p.record.bound == "d":
         if spec.record.distance is None:
             raise ValueError(f"no boundary-distance preset for {spec.name}")
-        return {"distance": spec.record.distance}
+        return {"bound": spec.record.distance}
     return {}
 
 
@@ -265,12 +263,11 @@ def profile_for_named_map(
 ) -> BohrProfile:
     """verify_inequality for a catalog map with its presets filled in."""
     check_pairing(spec, p)
-    kwargs = {} if bound is not None else default_bound_inputs(spec, p)
+    kwargs = {"bound": bound} if bound is not None else default_bound_inputs(spec, p)
     return verify_inequality(
         make_map(spec),
         p,
         map_id=spec.name,
-        bound=bound,
         margin=margin,
         grid_size=grid_size,
         tail_constant=spec.record.tail_constant,

@@ -8,7 +8,8 @@ form, for independent evaluation on the disk.
 ``MAP_TABLE`` holds one ``MapSpec`` record per map: its alias, coefficient
 model, closed form, tail constant, boundary distance and the radius variants
 it is a documented witness for.  Adding a map means adding one record;
-``MAP_NAMES``, ``ALIASES`` and ``PARAMETRIC_MAPS`` are derived from the table.
+the name indexes ``MAP_NAMES`` and ``ALIASES`` are derived from the table,
+and whether a map takes k is read from its record.
 
 Coefficient models (m >= 1, everything else zero):
 
@@ -113,8 +114,6 @@ MAP_TABLE = (
 MAP = {spec.name: spec for spec in MAP_TABLE}
 MAP_NAMES = tuple(MAP)
 ALIASES = {spec.alias: spec.name for spec in MAP_TABLE if spec.alias}
-# Maps whose sharpness family is parameterized by the dilatation bound k.
-PARAMETRIC_MAPS = tuple(spec.name for spec in MAP_TABLE if spec.parametric)
 
 
 def resolve_name(name: str) -> str:

@@ -27,7 +27,7 @@ from .radii import RadiusProblem
 from .selfcheck import run_selfcheck
 from .series import DEFAULT_COMPOSE_ORDER, DEFAULT_ORDER, circle_grid
 from .solver import WIDTH_TOL, solve_radius
-from .subordination import DOMINATION_TOL, domination_campaign
+from .subordination import domination_campaign
 
 
 def _fmt(x) -> str:
@@ -167,8 +167,8 @@ def cmd_sharpness(args, parser) -> int:
     spec = _map_from_args(args)
     p = _problem_from_args(args)
     check_pairing(spec, p)
-    kwargs = {} if args.bound is not None else default_bound_inputs(spec, p)
-    excess = sharpness_scan(make_map(spec), p, args.epsilon, bound=args.bound, **kwargs)
+    kwargs = {"bound": args.bound} if args.bound is not None else default_bound_inputs(spec, p)
+    excess = sharpness_scan(make_map(spec), p, args.epsilon, **kwargs)
     head = _header(
         "sharpness", **_pairing_params(spec, p), epsilon=args.epsilon, order=spec.order
     )
@@ -204,7 +204,6 @@ def cmd_campaign(args, parser) -> int:
     report = domination_campaign(
         seeds=range(args.cases), map_names=map_names, order=args.order
     )
-    ok = report["worst_margin"] >= -DOMINATION_TOL
     head = _header(
         "subordination-campaign", cases=args.cases, maps=",".join(map_names),
         order=args.order,
@@ -212,13 +211,13 @@ def cmd_campaign(args, parser) -> int:
     fields = [
         ("cases", report["count"]),
         ("worst_margin", report["worst_margin"]),
-        ("all_pass", ok),
+        ("all_pass", report["all_pass"]),
     ]
     csv = ["seed,psi,map,margin"] + [
         f"{c['seed']},{c['psi']},{c['map']},{_fmt(c['margin'])}" for c in report["cases"]
     ]
-    _render(args, head, {**report, "all_pass": ok}, fields, csv=csv)
-    return 0 if ok else 1
+    _render(args, head, report, fields, csv=csv)
+    return 0 if report["all_pass"] else 1
 
 
 def cmd_selfcheck(args, parser) -> int:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .radii import _check_param
 from .series import HarmonicMap, PowerSeries, evaluate, term_differentiate
 
 MOBIUS_VARIANTS = ("plus", "minus")
@@ -27,10 +28,8 @@ class MonomialDilatation:
     n: int = 1
 
     def __post_init__(self):
-        if not 0.0 < self.k <= 1.0:
-            raise ValueError("k must lie in (0, 1]")
-        if not isinstance(self.n, (int, np.integer)) or self.n < 1:
-            raise ValueError("n must be an integer >= 1")
+        _check_param("k", self.k)
+        _check_param("n", self.n)
         object.__setattr__(self, "theta", float(self.theta) % (2.0 * np.pi))
 
     def __call__(self, z):
@@ -48,8 +47,7 @@ class MobiusDilatation:
     variant: str = "plus"
 
     def __post_init__(self):
-        if not -1.0 < self.a < 1.0:
-            raise ValueError("a must lie in (-1, 1)")
+        _check_param("a", self.a)
         if self.variant not in MOBIUS_VARIANTS:
             raise ValueError(f"variant must be one of {MOBIUS_VARIANTS}")
 

@@ -10,8 +10,8 @@ here; certified root extraction lives in ``solver``.
 
 ``VARIANT_TABLE`` holds one ``Variant`` record per statement: its short
 alias, parameters, bound kind, description and radius.  Adding a theorem
-means adding one record; ``VARIANTS``, ``THEOREM_ALIASES``, ``ROOT_DEFINED``
-and ``NEEDS_DISTANCE`` are derived from the table.
+means adding one record; ``VARIANTS`` and ``THEOREM_ALIASES`` are derived
+from it.  ``_PARAM_RULES`` holds the domains of K, k, n and a.
 
 "Bound d" marks the families whose Bohr sum is compared against the distance
 from the image of 0 to the image boundary; the caller supplies that distance
@@ -146,7 +146,7 @@ VARIANT_TABLE = (
             majorant=lambda p, r: _thm210_majorant(r)),
     Variant("thm211_convex", "thm211", (), "1",
             "convex univalent harmonic map with b_1 = 0; bound 1; radius (3-sqrt(5))/2",
-            closed_form=lambda p: (3.0 - math.sqrt(5.0)) / 2.0,
+            closed_form=lambda p: 2.0 / (3.0 + math.sqrt(5.0)),
             majorant=lambda p, r: r / (1.0 - r) ** 2 - 1.0),
 )
 
@@ -154,8 +154,6 @@ VARIANT = {v.name: v for v in VARIANT_TABLE}
 VARIANTS = tuple(VARIANT)
 # Short spellings accepted anywhere a variant is named (CLI included).
 THEOREM_ALIASES = {v.alias: v.name for v in VARIANT_TABLE if v.alias}
-ROOT_DEFINED = frozenset(v.name for v in VARIANT_TABLE if v.majorant)
-NEEDS_DISTANCE = frozenset(v.name for v in VARIANT_TABLE if v.bound == "d")
 
 # (parameter, test, message), checked in this order; K must also be finite so
 # that no closed form sees an infinity.
@@ -164,7 +162,15 @@ _PARAM_RULES = (
     ("K", math.isfinite, "K must be finite"),
     ("k", lambda k: 0.0 < k <= 1.0, "k must lie in (0, 1]"),
     ("n", lambda n: isinstance(n, (int, np.integer)) and n >= 1, "n must be an integer >= 1"),
+    ("a", lambda a: -1.0 < a < 1.0, "a must lie in (-1, 1)"),
 )
+
+
+def _check_param(name: str, value) -> None:
+    """Raise the message of the first rule on ``name`` that value breaks."""
+    for param, test, message in _PARAM_RULES:
+        if param == name and not test(value):
+            raise ValueError(message)
 
 
 def resolve_variant(name: str) -> str:
@@ -200,9 +206,7 @@ class RadiusProblem:
                 continue
             if value is None:
                 raise ValueError(f"{self.variant} requires {name}")
-            for param, test, message in _PARAM_RULES:
-                if param == name and not test(value):
-                    raise ValueError(message)
+            _check_param(name, value)
 
     @property
     def record(self) -> Variant:
@@ -226,34 +230,25 @@ class RadiusProblem:
             parts.append("(" + ", ".join(params) + ")")
         return " ".join(parts)
 
-    def bound(self, distance: float | None = None, mobius_a: float | None = None) -> float:
+    def bound(self, mobius_a: float | None = None) -> float:
         """Right side of the Bohr inequality for this variant.
 
-        Distance-scaled variants require ``distance`` (the caller-known
-        d from the image of 0 to the image boundary); the automorphism
-        variant requires ``mobius_a`` and returns 1 + |a|, a constant the
-        statement supplies without interpretation; all other variants
-        return 1.
+        The automorphism variant requires ``mobius_a`` and returns 1 + |a|,
+        a constant the statement supplies without interpretation;
+        distance-scaled variants raise, because only the caller knows the
+        distance d from the image of 0 to the image boundary and passes it
+        as the bound itself; all other variants return 1.
         """
         v = self.variant
         kind = self.record.bound
         if kind == "d":
-            if mobius_a is not None:
-                raise ValueError(f"{v} takes no mobius_a")
-            if distance is None:
-                raise ValueError(f"{v} bound needs the boundary distance d")
-            if not distance > 0:
-                raise ValueError("distance must be positive")
-            return float(distance)
+            raise ValueError(f"{v} bound needs the boundary distance d")
         if kind == "1+|a|":
-            if distance is not None:
-                raise ValueError(f"{v} takes no distance")
             if mobius_a is None:
                 raise ValueError(f"{v} bound needs the dilatation parameter a")
-            if not -1.0 < mobius_a < 1.0:
-                raise ValueError("a must lie in (-1, 1)")
+            _check_param("a", mobius_a)
             return 1.0 + abs(mobius_a)
-        if distance is not None or mobius_a is not None:
+        if mobius_a is not None:
             raise ValueError(f"{v} has the fixed bound 1")
         return 1.0
 

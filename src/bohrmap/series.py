@@ -57,9 +57,6 @@ class PowerSeries:
         out[: len(self.coeffs)] = self.coeffs
         return PowerSeries(out)
 
-    def __call__(self, z):
-        return evaluate(self, z)
-
     def __len__(self) -> int:
         return len(self.coeffs)
 
@@ -186,15 +183,6 @@ class HarmonicMap:
     @property
     def order(self) -> int:
         return self.h.order
-
-    @property
-    def is_normalized(self) -> bool:
-        """True when h(0) = 0 and h'(0) = 1."""
-        return (
-            self.h.order >= 1
-            and self.h.coeffs[0] == 0
-            and self.h.coeffs[1] == 1
-        )
 
     def coefficient_moduli(self) -> np.ndarray:
         """Array with entry m equal to |a_m| + |b_m|."""

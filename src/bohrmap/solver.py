@@ -51,6 +51,13 @@ def _eval_checked(f, x: float) -> float:
     return val
 
 
+def _check_tol(tol: float) -> None:
+    if not tol > 0.0:
+        raise ValueError("tol must be positive")
+    if not math.isfinite(tol):
+        raise ValueError("tol must be finite")
+
+
 def bracket_root(
     f,
     lo: float,
@@ -64,10 +71,7 @@ def bracket_root(
     certificates.  The certificate names no problem and claims no monotone
     scan; solve_radius fills both in.
     """
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
-    if not math.isfinite(tol):
-        raise ValueError("tol must be finite")
+    _check_tol(tol)
     if not lo < hi:
         raise ValueError("bracket invalid: need lo < hi")
     flo = _eval_checked(f, lo)
@@ -130,8 +134,10 @@ def solve_radius(p: RadiusProblem, tol: float = WIDTH_TOL) -> RootCertificate:
     interior points of (0, 0.99) followed by certified bisection on
     [1e-9, 1 - 1e-9] (the majorants diverge at r = 1, so the upper end is
     clamped away from it).  Closed-form variants return the algebraic value
-    as a degenerate certificate, after checking that it lies in (0, 1).
+    as a degenerate certificate, after checking that it lies in (0, 1);
+    tol is checked for them too, although they do not use it.
     """
+    _check_tol(tol)
     if not p.root_defined:
         root = closed_form_radius(p)
         if not 0.0 < root < 1.0:

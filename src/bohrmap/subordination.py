@@ -53,26 +53,20 @@ class SchwarzFunction:
     description: str
 
 
-def schwarz_sup(psi: SchwarzFunction | PowerSeries) -> float:
+def schwarz_sup(psi: PowerSeries) -> float:
     """max |psi| over 256 equispaced points on |z| = 0.999."""
-    series = psi.series if isinstance(psi, SchwarzFunction) else psi
     points = circle_grid(SCHWARZ_RADIUS, SCHWARZ_GRID)
-    return float(np.max(np.abs(evaluate(series, points))))
+    return float(np.max(np.abs(evaluate(psi, points))))
 
 
 def _checked(fn: SchwarzFunction, internal: bool) -> SchwarzFunction:
-    sup = schwarz_sup(fn)
+    sup = schwarz_sup(fn.series)
     if sup > 1.0 + SCHWARZ_SUP_TOL:
         msg = f"Schwarz check failed for {fn.description}: sup {sup!r} > 1"
         if internal:
             raise RuntimeError(msg)
         raise ValueError(msg)
     return fn
-
-
-def scaled_identity(c: complex) -> SchwarzFunction:
-    """psi(z) = c z with |c| <= 1."""
-    return monomial_schwarz(c, 1)
 
 
 def monomial_schwarz(c: complex, j: int) -> SchwarzFunction:
@@ -166,8 +160,8 @@ def check_domination(
     """Worst margin of sum |a_m| r^m - sum |(f o psi)_m| r^m over the grid.
 
     The grid must be nonempty and sit in (0, 1/3], where subordination
-    forces the composite sum below the original.  A margin >= -1e-9 counts
-    as holding; anything lower is a genuine counterexample to the
+    forces the composite sum below the original.  A margin >= -DOMINATION_TOL
+    counts as holding; anything lower is a genuine counterexample to the
     implementation.
     """
     if r_grid is None:
@@ -204,9 +198,10 @@ def domination_campaign(
     """Seeded sweep of check_domination across random Schwarz functions.
 
     Each seed draws a product of degree 1 + seed mod 8 and runs against
-    every named map.  Returns a JSON-able report with per-case margins and
-    the overall worst margin.  Empty seed or map lists are refused: a
-    report with no case checked would read as holding.
+    every named map.  Returns a JSON-able report with per-case margins,
+    the overall worst margin and the verdict ``all_pass``: the worst
+    margin is at least -DOMINATION_TOL.  Empty seed or map lists are
+    refused: a report with no case checked would read as holding.
     """
     seeds, map_names = list(seeds), tuple(map_names)
     if not seeds or not map_names:
@@ -222,9 +217,11 @@ def domination_campaign(
             cases.append(
                 {"seed": int(seed), "psi": psi.description, "map": name, "margin": m}
             )
+    worst = min(c["margin"] for c in cases)
     return {
         "order": order,
         "count": len(cases),
-        "worst_margin": min(c["margin"] for c in cases),
+        "worst_margin": worst,
         "cases": cases,
+        "all_pass": worst >= -DOMINATION_TOL,
     }

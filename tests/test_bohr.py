@@ -190,7 +190,7 @@ class TestVerifyInequality:
         f = make_map(NamedMap("koebe_analytic", order=2000))
         p = RadiusProblem("thm11_univalent")
         prof = verify_inequality(
-            f, p, map_id="koebe", distance=0.25, tail_constant=2.0
+            f, p, map_id="koebe", bound=0.25, tail_constant=2.0
         )
         assert prof.bound == 0.25
         assert prof.all_pass
@@ -322,11 +322,11 @@ class TestPairing:
         d = default_bound_inputs(
             NamedMap("koebe_analytic"), RadiusProblem("thm11_univalent")
         )
-        assert d == {"distance": 0.25}
+        assert d == {"bound": 0.25}
         d = default_bound_inputs(
             NamedMap("q_k", k=0.5), RadiusProblem("thm12_quasi_convex", K=3.0)
         )
-        assert d == {"distance": 0.5}
+        assert d == {"bound": 0.5}
         assert (
             default_bound_inputs(
                 NamedMap("f0_sharp"), RadiusProblem("cor25_monomial", n=1)

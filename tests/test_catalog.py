@@ -7,12 +7,12 @@ from bohrmap import (
     ALIASES,
     MAP_NAMES,
     NamedMap,
-    PARAMETRIC_MAPS,
     closed_form_eval,
     eval_harmonic,
     make_map,
     resolve_name,
 )
+from bohrmap.catalog import MAP
 
 # frozen reference values, high-precision evaluation of the closed forms
 F0_AT_01 = 0.13005187368251766
@@ -20,7 +20,7 @@ KOEBE_AT_MINUS_0999 = -0.24999993743745309
 
 
 def _spec(name, order=300):
-    k = 0.5 if name in PARAMETRIC_MAPS else None
+    k = 0.5 if MAP[name].parametric else None
     return NamedMap(name, k=k, order=order)
 
 
@@ -94,7 +94,7 @@ class TestCoefficientModels:
     def test_all_normalized(self):
         for name in MAP_NAMES:
             f = make_map(_spec(name, order=10))
-            assert f.is_normalized
+            assert f.h.coeffs[0] == 0.0 and f.h.coeffs[1] == 1.0
             assert f.g.coeffs[0] == 0.0
 
 

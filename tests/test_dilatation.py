@@ -8,6 +8,7 @@ from bohrmap import (
     MobiusDilatation,
     MonomialDilatation,
     PowerSeries,
+    RadiusProblem,
     circle_grid,
     dilatation_residual,
     evaluate,
@@ -50,6 +51,44 @@ def g_by_integration(h, w, order):
     out = np.zeros(order + 1, dtype=np.complex128)
     out[1:] = gp[:-1] / np.arange(1.0, order + 1.0)
     return out
+
+
+# (parameter, bad value, message); each class that takes the parameter
+# must refuse the value with the same words
+BAD_PARAMS = [
+    ("k", 0.0, "k must lie in (0, 1]"),
+    ("k", 1.5, "k must lie in (0, 1]"),
+    ("k", np.nan, "k must lie in (0, 1]"),
+    ("n", 0, "n must be an integer >= 1"),
+    ("n", 1.5, "n must be an integer >= 1"),
+    ("a", 1.0, "a must lie in (-1, 1)"),
+    ("a", -1.0, "a must lie in (-1, 1)"),
+    ("a", np.nan, "a must lie in (-1, 1)"),
+]
+
+BUILDERS = {
+    "k": [
+        lambda v: RadiusProblem("thm24_monomial", k=v, n=1),
+        lambda v: MonomialDilatation(k=v),
+    ],
+    "n": [
+        lambda v: RadiusProblem("thm24_monomial", k=0.5, n=v),
+        lambda v: RadiusProblem("cor25_monomial", n=v),
+        lambda v: MonomialDilatation(k=0.5, n=v),
+    ],
+    "a": [
+        lambda v: RadiusProblem("thm27_mobius").bound(mobius_a=v),
+        lambda v: MobiusDilatation(a=v),
+    ],
+}
+
+
+@pytest.mark.parametrize("name, value, message", BAD_PARAMS)
+def test_parameter_domains_agree(name, value, message):
+    for build in BUILDERS[name]:
+        with pytest.raises(ValueError) as info:
+            build(value)
+        assert str(info.value) == message
 
 
 class TestMonomialDilatation:

@@ -8,9 +8,7 @@ import pytest
 from bohrmap import (
     IDENTITIES,
     IDENTITY_NAMES,
-    NEEDS_DISTANCE,
-    ROOT_DEFINED,
-    VARIANTS,
+    VARIANT_TABLE,
     RadiusProblem,
     closed_form_radius,
     identity_tail_bound,
@@ -19,6 +17,7 @@ from bohrmap import (
     majorant_value,
     resolve_variant,
 )
+from test_solver import THM27_ROOT
 
 # frozen independent evaluations of the root equations
 COR25_ROOTS = {
@@ -27,7 +26,6 @@ COR25_ROOTS = {
     3: 0.17930779190555451,
     4: 0.095981503730573139,
 }
-THM27_ROOT = 0.2290830029407519
 
 
 class TestResolution:
@@ -42,11 +40,10 @@ class TestResolution:
             resolve_variant("thm99")
 
     def test_variant_partition(self):
-        for v in VARIANTS:
-            p_root = v in ROOT_DEFINED
+        for v in VARIANT_TABLE:
             # every variant either solves a root equation or has algebra
-            if not p_root:
-                assert v not in ("thm24_monomial", "cor25_monomial")
+            if v.majorant is None:
+                assert v.name not in ("thm24_monomial", "cor25_monomial")
 
 
 class TestProblemValidation:
@@ -154,15 +151,15 @@ class TestClosedFormRadii:
 
 class TestBounds:
     def test_distance_variants_require_distance(self):
+        # only the caller knows d, and passes it as the bound itself
         p = RadiusProblem("thm11_univalent")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="needs the boundary distance d"):
             p.bound()
-        assert p.bound(distance=0.25) == 0.25
 
     def test_distance_rejected_elsewhere(self):
         p = RadiusProblem("thm22_bohr")
-        with pytest.raises(ValueError):
-            p.bound(distance=0.25)
+        with pytest.raises(ValueError, match="fixed bound 1"):
+            p.bound(mobius_a=0.5)
         assert p.bound() == 1.0
 
     def test_mobius_bound_is_one_plus_a(self):
@@ -179,9 +176,9 @@ class TestBounds:
         assert RadiusProblem("thm211_convex").bound() == 1.0
 
     def test_needs_distance_set(self):
-        assert "thm11_univalent" in NEEDS_DISTANCE
-        assert "thm12_quasi_convex" in NEEDS_DISTANCE
-        assert "thm22_bohr" not in NEEDS_DISTANCE
+        assert RadiusProblem("thm11_univalent").record.bound == "d"
+        assert RadiusProblem("thm12_quasi_convex", K=2.0).record.bound == "d"
+        assert RadiusProblem("thm22_bohr").record.bound == "1"
 
 
 class TestMajorants:

@@ -92,6 +92,18 @@ class TestCertificates:
         assert d["problem"]["variant"] == "thm27_mobius"
         json.loads(json.dumps(d))
 
+    @pytest.mark.parametrize(
+        "tol, message",
+        [(0.0, "tol must be positive"), (math.nan, "tol must be positive"),
+         (math.inf, "tol must be finite")],
+        ids=["zero", "nan", "inf"],
+    )
+    def test_closed_form_checks_tol(self, tol, message):
+        # the closed form does not use tol, but a bad one is refused as
+        # it is for a root-defined variant
+        with pytest.raises(ValueError, match=message):
+            solve_radius(RadiusProblem("thm11_univalent"), tol=tol)
+
     def test_degenerate_certificate_for_closed_form(self):
         cert = solve_radius(RadiusProblem("thm11_univalent"))
         assert cert.lo == cert.hi == cert.root

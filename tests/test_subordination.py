@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from bohrmap import (
+    DOMINATION_TOL,
     HarmonicMap,
     NamedMap,
     PowerSeries,
@@ -19,7 +20,6 @@ from bohrmap import (
     make_map,
     monomial_schwarz,
     random_schwarz,
-    scaled_identity,
     schwarz_sup,
     subordinate,
 )
@@ -27,12 +27,12 @@ from bohrmap import (
 
 class TestSchwarzConstruction:
     def test_scaled_identity(self):
-        psi = scaled_identity(0.5)
+        psi = monomial_schwarz(0.5, 1)
         assert np.array_equal(psi.series.coeffs, [0.0, 0.5])
 
     def test_scaled_identity_rejects_large(self):
         with pytest.raises(ValueError):
-            scaled_identity(1.5)
+            monomial_schwarz(1.5, 1)
 
     def test_monomial(self):
         psi = monomial_schwarz(0.5j, 3)
@@ -49,7 +49,7 @@ class TestSchwarzConstruction:
 
     def test_blaschke_sup_below_one(self):
         psi = blaschke_schwarz([0.4, -0.2 + 0.3j], rotation=1.0)
-        assert schwarz_sup(psi) <= 1.0 + 1e-6
+        assert schwarz_sup(psi.series) <= 1.0 + 1e-6
 
     def test_blaschke_rejects_zero_outside_disk(self):
         with pytest.raises(ValueError):
@@ -86,13 +86,13 @@ class TestSchwarzConstruction:
 class TestSubordinate:
     def test_identity_composition_is_identity(self):
         f = make_map(NamedMap("koebe_analytic", order=100)).h
-        psi = scaled_identity(1.0)
+        psi = monomial_schwarz(1.0, 1)
         comp = subordinate(f, psi)
         assert np.allclose(comp.coeffs, f.truncated(comp.order).coeffs)
 
     def test_rotation_preserves_moduli(self):
         f = make_map(NamedMap("koebe_analytic", order=150)).h
-        psi = scaled_identity(np.exp(0.7j))
+        psi = monomial_schwarz(np.exp(0.7j), 1)
         comp = subordinate(f, psi)
         assert np.allclose(
             np.abs(comp.coeffs), np.abs(f.truncated(comp.order).coeffs), atol=1e-12
@@ -116,7 +116,7 @@ class TestSubordinate:
 class TestDomination:
     def test_identity_margin_zero(self):
         f = make_map(NamedMap("koebe_analytic", order=200)).h
-        margin = check_domination(f, scaled_identity(1.0))
+        margin = check_domination(f, monomial_schwarz(1.0, 1))
         assert margin == 0.0
 
     def test_koebe_square_margin_at_one_third(self):
@@ -130,7 +130,7 @@ class TestDomination:
 
     def test_rotation_keeps_margin_nonnegative(self):
         f = make_map(NamedMap("half_plane_analytic", order=200)).h
-        margin = check_domination(f, scaled_identity(np.exp(1.1j)))
+        margin = check_domination(f, monomial_schwarz(np.exp(1.1j), 1))
         assert margin >= -1e-12
 
     def test_blaschke_composition_dominated(self):
@@ -141,13 +141,13 @@ class TestDomination:
     def test_grid_validation(self):
         f = make_map(NamedMap("koebe_analytic", order=200)).h
         with pytest.raises(ValueError):
-            check_domination(f, scaled_identity(0.5), r_grid=np.array([0.4]))
+            check_domination(f, monomial_schwarz(0.5, 1), r_grid=np.array([0.4]))
         # no point checked is no proof
         with pytest.raises(ValueError):
-            check_domination(f, scaled_identity(0.5), r_grid=[])
+            check_domination(f, monomial_schwarz(0.5, 1), r_grid=[])
         # NaN fails every comparison, so it must not read as in range
         with pytest.raises(ValueError):
-            check_domination(f, scaled_identity(0.5), r_grid=[0.1, math.nan])
+            check_domination(f, monomial_schwarz(0.5, 1), r_grid=[0.1, math.nan])
 
     @pytest.mark.parametrize(
         "name, seed, M, r_grid",
@@ -192,6 +192,17 @@ class TestCampaign:
         assert len(report["cases"]) == 8
         case = report["cases"][0]
         assert set(case) == {"seed", "psi", "map", "margin"}
+
+    @pytest.mark.parametrize("margin", [0.0, -0.5 * DOMINATION_TOL, -2.0 * DOMINATION_TOL])
+    def test_all_pass_is_the_margin_rule(self, margin, monkeypatch):
+        import bohrmap.subordination
+
+        monkeypatch.setattr(bohrmap.subordination, "check_domination", lambda f, psi: margin)
+        report = domination_campaign(seeds=range(2))
+        assert report["worst_margin"] == margin
+        assert report["all_pass"] is (margin >= -DOMINATION_TOL)
+        # the CLI prints the report as is: the verdict is its last key
+        assert list(report)[-1] == "all_pass"
 
     def test_campaign_is_deterministic(self):
         a = domination_campaign(seeds=range(3))
