@@ -5,7 +5,8 @@ truncated harmonic map.  Each partial sum is paired with a closed-form tail
 bound C * sum_{m>M} m^2 r^m, sound whenever the map's coefficients satisfy
 |a_m| + |b_m| <= C m^2 for all m; the catalog records a valid C per named
 map, and exact polynomials may pass C = 0.  A verdict "pass" at r means
-S(r) + tail <= bound, so a pass is a proof at that point, not an estimate.
+S(r) + rounding + tail <= bound, where the rounding term bounds the error of
+the computed sum, so a pass is a proof at that point, not an estimate.
 """
 
 from __future__ import annotations
@@ -17,23 +18,36 @@ import numpy as np
 
 from .catalog import NamedMap, closed_form_eval, make_map
 from .radii import RadiusProblem, m2_tail
-from .series import HarmonicMap, circle_grid, eval_harmonic
+from .series import HarmonicMap, circle_grid, evaluate_on_circle
 from .solver import solve_radius
 
 DEFAULT_MARGIN = 1e-3
 DEFAULT_GRID_SIZE = 256
 DEFAULT_TAIL_CONSTANT = 2.0
+# From this many radii on, _sums runs Horner on a numpy vector of radii;
+# below it, on one Python float per radius.  Both forms perform the same
+# IEEE binary64 operations, acc = (acc + c) * r from m = M down to 1, in
+# the same order, so every sum is the same bit for bit.
+HORNER_VECTOR_RADII = 32
+_UNIT_ROUNDOFF = 2.0**-53
+_SMALLEST_SUBNORMAL = 2.0**-1074
 
 
 @dataclass(frozen=True)
 class BohrProfile:
-    """Grid of partial Bohr sums, tail bounds, and per-point verdicts."""
+    """Grid of partial Bohr sums, tail bounds, and per-point verdicts.
+
+    M is the number of retained terms behind each computed sum; the
+    verdict adds ``_rounding_bound(sum, M)`` to sum + tail, and M = 0 takes
+    the sums as exact.
+    """
 
     map_id: str
     r_grid: np.ndarray
     partial_sums: np.ndarray
     tail_bounds: np.ndarray
     bound: float
+    M: int = 0
     verdicts: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -50,10 +64,13 @@ class BohrProfile:
         if not np.all(tails >= 0.0):
             raise ValueError("tail bounds must be nonnegative")
         _check_bound(self.bound)
+        if self.M < 0:
+            raise ValueError("M must be >= 0")
         object.__setattr__(self, "r_grid", r)
         object.__setattr__(self, "partial_sums", sums)
         object.__setattr__(self, "tail_bounds", tails)
-        object.__setattr__(self, "verdicts", sums + tails <= self.bound)
+        verdicts = sums + _rounding_bound(sums, self.M) + tails <= self.bound
+        object.__setattr__(self, "verdicts", verdicts)
 
     @property
     def all_pass(self) -> bool:
@@ -101,13 +118,43 @@ def _checked_moduli(f: HarmonicMap, M: int | None, tail_constant: float) -> np.n
 
 
 def _sums(moduli: np.ndarray, rs) -> list[float]:
-    """sum_{m=1..len(moduli)} moduli[m-1] r^m for each r in rs, as floats.
+    """sum_{m=1..M} moduli[m-1] r^m for each r in rs, as floats, M = len(moduli).
 
-    One dot product per radius: a (grid x M) matrix product rounds
-    differently, and each sum must equal bohr_partial_sum's bit for bit.
+    Horner from m = M down, acc = (acc + moduli[m-1]) * r: 2M roundings,
+    so for nonnegative moduli and r >= 0 each sum lies within
+    ``_rounding_bound`` of the exact one.  Whatever the number of radii, a
+    sum equals bohr_partial_sum's bit for bit (see HORNER_VECTOR_RADII).
     """
-    exps = np.arange(1, len(moduli) + 1, dtype=np.float64)
-    return [float(moduli @ (float(r) ** exps)) for r in rs]
+    coeffs = moduli[::-1].tolist()
+    if len(rs) < HORNER_VECTOR_RADII:
+        out = []
+        for r in rs:
+            r, acc = float(r), 0.0
+            for c in coeffs:
+                acc = (acc + c) * r
+            out.append(acc)
+        return out
+    r = np.asarray(rs, dtype=np.float64)
+    acc = np.zeros_like(r)
+    for c in coeffs:
+        acc += c
+        acc *= r
+    return acc.tolist()
+
+
+def _rounding_bound(sums, M: int):
+    """Bound on |exact - computed| for sums s_hat made by ``_sums`` from M terms.
+
+    Horner on nonnegative data with r >= 0 gives |s_hat - s| <= gamma_2M s,
+    gamma_n = nu / (1 - nu), u = 2^-53 (Higham, Accuracy and Stability of
+    Numerical Algorithms, eq. 5.3).  In terms of the computed sum that is
+    |s_hat - s| <= 2Mu / (1 - 4Mu) s_hat.  A product that underflows errs
+    by at most 2^-1075 absolute instead of relatively, and a sum of
+    nonnegative numbers never does; the later roundings at most double
+    each of those M errors, so M * 2^-1074 covers underflow.
+    """
+    n = 2 * M
+    return n * _UNIT_ROUNDOFF / (1.0 - 2 * n * _UNIT_ROUNDOFF) * sums + M * _SMALLEST_SUBNORMAL
 
 
 def _check_bound(bound: float) -> None:
@@ -163,6 +210,7 @@ def verify_inequality(
         partial_sums=_sums(moduli, grid),
         tail_bounds=[tail_constant * m2_tail(float(r), len(moduli)) for r in grid],
         bound=bound,
+        M=len(moduli),
     )
 
 
@@ -204,11 +252,11 @@ def boundary_reach(
         raise ValueError("r must lie in (0, 1)")
     if samples < 64:
         raise ValueError("samples must be >= 64")
-    points = circle_grid(r, samples)
     if isinstance(map_spec, NamedMap):
-        values = closed_form_eval(map_spec, points)
+        values = closed_form_eval(map_spec, circle_grid(r, samples))
     elif isinstance(map_spec, HarmonicMap):
-        values = eval_harmonic(map_spec, points)
+        h, g = (evaluate_on_circle(s, r, samples) for s in (map_spec.h, map_spec.g))
+        values = h + np.conj(g)
     else:
         raise TypeError("map_spec must be a NamedMap or HarmonicMap")
     moduli = np.abs(values)

@@ -197,11 +197,31 @@ def eval_harmonic(f: HarmonicMap, z):
     return evaluate(f.h, z) + np.conj(evaluate(f.g, z))
 
 
-def circle_grid(radius: float, samples: int) -> np.ndarray:
-    """Equispaced points radius * exp(2 pi i j / samples), j = 0..samples-1."""
+def _check_circle(radius: float, samples: int) -> None:
     if not 0.0 <= radius < 1.0:
         raise ValueError("radius must lie in [0, 1)")
     if samples < 1:
         raise ValueError("samples must be >= 1")
+
+
+def circle_grid(radius: float, samples: int) -> np.ndarray:
+    """Equispaced points radius * exp(2 pi i j / samples), j = 0..samples-1."""
+    _check_circle(radius, samples)
     angles = 2.0 * np.pi * np.arange(samples) / samples
     return radius * np.exp(1j * angles)
+
+
+def evaluate_on_circle(series: PowerSeries, radius: float, samples: int) -> np.ndarray:
+    """The series at the points of ``circle_grid(radius, samples)``, by one inverse FFT.
+
+    With w = exp(2 pi i / samples), sum_m c_m (radius w^j)^m = sum_k F_k w^(jk)
+    where F_k sums c_m radius^m over m = k mod samples, and that is
+    samples * ifft(F): O(M + N log N) against Horner's O(M N).  ``evaluate``
+    stays the way to arbitrary points.
+    """
+    _check_circle(radius, samples)
+    c = series.coeffs
+    folded = np.zeros(-(-len(c) // samples) * samples, dtype=np.complex128)
+    folded[: len(c)] = c * radius ** np.arange(len(c), dtype=np.float64)
+    # np.fft is loaded on first use, which keeps it out of ``import bohrmap``
+    return samples * np.fft.ifft(folded.reshape(-1, samples).sum(axis=0))

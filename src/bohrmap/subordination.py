@@ -27,9 +27,8 @@ from .series import (
     HarmonicMap,
     PowerSeries,
     cauchy_product,
-    circle_grid,
     compose,
-    evaluate,
+    evaluate_on_circle,
 )
 from .solver import min_rule_radius
 
@@ -55,8 +54,7 @@ class SchwarzFunction:
 
 def schwarz_sup(psi: PowerSeries) -> float:
     """max |psi| over 256 equispaced points on |z| = 0.999."""
-    points = circle_grid(SCHWARZ_RADIUS, SCHWARZ_GRID)
-    return float(np.max(np.abs(evaluate(psi, points))))
+    return float(np.max(np.abs(evaluate_on_circle(psi, SCHWARZ_RADIUS, SCHWARZ_GRID))))
 
 
 def _checked(fn: SchwarzFunction, internal: bool) -> SchwarzFunction:

@@ -2,11 +2,13 @@
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from bohrmap import (
+    MAP_TABLE,
     BohrProfile,
     HarmonicMap,
     MonomialDilatation,
@@ -24,6 +26,9 @@ from bohrmap import (
     solve_radius,
     verify_inequality,
 )
+from bohrmap.bohr import HORNER_VECTOR_RADII, _rounding_bound
+from bohrmap.catalog import MAP
+from bohrmap.radii import VARIANT
 
 # frozen reference values; 0.3485 is a point just past the cor25 n=1 radius
 F0_SUM_AT_03485 = 1.0007554472080942
@@ -35,6 +40,35 @@ def identity_map(order=50):
     h = PowerSeries([0.0, 1.0]).truncated(order)
     g = PowerSeries([0.0]).truncated(order)
     return HarmonicMap(h, g)
+
+
+def witness_pairing(record):
+    """A catalog map and its first witness variant, at values its pins allow."""
+    values = {"K": 3.0, "k": 0.5, "n": 1, **dict(record.pins)}
+    variant = VARIANT[record.witness_for[0]]
+    spec = NamedMap(record.name, k=0.5 if record.parametric else None)
+    return spec, RadiusProblem(variant.name, **{p: values[p] for p in variant.params})
+
+
+FRACTION_BITS = 256
+
+
+def exact_sums(moduli, rs):
+    """sum_m moduli[m-1] r^m for each r, as Fractions within M 2^-256 below the exact sums.
+
+    Every float is a dyadic rational, so inputs convert exactly to binary
+    fixed point with 256 fraction bits; each Horner step then truncates once.
+    """
+
+    def fixed(x):
+        num, den = float(x).as_integer_ratio()
+        return (num << FRACTION_BITS) // den
+
+    radii = np.array([fixed(r) for r in rs], dtype=object)
+    acc = np.zeros(len(radii), dtype=object)
+    for c in moduli[::-1]:
+        acc = (acc + fixed(c)) * radii >> FRACTION_BITS
+    return [Fraction(int(a), 1 << FRACTION_BITS) for a in acc]
 
 
 class TestPartialSum:
@@ -112,6 +146,22 @@ class TestBohrProfile:
         with pytest.raises(ValueError, match="bound must be positive and finite"):
             BohrProfile("t", np.array([0.0, 0.1]), np.zeros(2), np.zeros(2), math.inf)
 
+    def test_rounding_term_can_fail_a_verdict(self):
+        # sum + tail sits 1e-14 below the bound, closer than the rounding
+        # term of a 2000-term sum (about 4e-13 here): no proof, so a fail
+        r = np.array([0.0, 0.3])
+        sums = np.array([0.0, 0.9])
+        tails = np.array([0.0, 0.1 - 1e-14])
+        assert sums[1] + tails[1] < 1.0
+        assert BohrProfile("t", r, sums, tails, 1.0).verdicts.tolist() == [True, True]
+        prof = BohrProfile("t", r, sums, tails, 1.0, M=2000)
+        assert prof.verdicts.tolist() == [True, False]
+        assert prof.to_dict()["tail_bounds"] == tails.tolist()
+
+    def test_rejects_negative_term_count(self):
+        with pytest.raises(ValueError, match="M must be >= 0"):
+            BohrProfile("t", np.array([0.0, 0.1]), np.zeros(2), np.zeros(2), 1.0, M=-1)
+
     def test_json_round_trip(self):
         r = np.array([0.0, 0.1])
         prof = BohrProfile("t", r, np.array([0.0, 0.5]), np.zeros(2), 1.0)
@@ -156,6 +206,16 @@ class TestVerifyInequality:
         for r, s, t in zip(prof.r_grid, prof.partial_sums, prof.tail_bounds):
             assert (s, t) == bohr_partial_sum(f, float(r), M=M, tail_constant=C)
 
+    @pytest.mark.parametrize("grid_size", [HORNER_VECTOR_RADII - 1, HORNER_VECTOR_RADII])
+    def test_both_horner_forms_equal_bohr_partial_sum(self, grid_size):
+        # below the cut-over the grid runs on Python floats, from it on on a
+        # numpy vector; the single-radius call always runs on a Python float
+        f = make_map(NamedMap("f0_sharp", order=500))
+        prof = verify_inequality(f, RadiusProblem("thm22_bohr"), grid_size=grid_size)
+        assert prof.M == 500
+        for r, s, t in zip(prof.r_grid, prof.partial_sums, prof.tail_bounds):
+            assert (s, t) == bohr_partial_sum(f, float(r))
+
     def test_identity_map_trivially_passes(self):
         f = identity_map()
         p = RadiusProblem("thm22_bohr")
@@ -194,6 +254,37 @@ class TestVerifyInequality:
         )
         assert prof.bound == 0.25
         assert prof.all_pass
+
+
+class TestRoundingBound:
+    @pytest.mark.parametrize("record", MAP_TABLE, ids=lambda r: r.name)
+    def test_kernel_within_bound_of_exact_sum(self, record):
+        # Higham's bound |s_hat - s| <= gamma_2M s, and the verdict's term
+        # _rounding_bound(s_hat, M) covering it, on a witness's order-2000 grid
+        spec, p = witness_pairing(record)
+        prof = profile_for_named_map(spec, p)
+        M = prof.M
+        assert M == 2000
+        moduli = make_map(spec).coefficient_moduli()[1 : M + 1]
+        gamma = Fraction(2 * M, 2**53 - 2 * M)
+        oracle = Fraction(M, 2**FRACTION_BITS)
+        for s_hat, exact in zip(prof.partial_sums, exact_sums(moduli, prof.r_grid)):
+            err = abs(Fraction(float(s_hat)) - exact)
+            assert err <= gamma * exact + oracle + Fraction(M, 2**1074)
+            assert err <= Fraction(float(_rounding_bound(s_hat, M))) + oracle
+
+    def test_fixed_point_oracle_matches_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        spec, p = witness_pairing(MAP["harmonic_koebe_K"])
+        prof = profile_for_named_map(spec, p)
+        moduli = make_map(spec).coefficient_moduli()[1:]
+        rs = prof.r_grid[[1, 128, 255]]
+        with mpmath.workdps(40):
+            for r, exact in zip(rs, exact_sums(moduli, rs)):
+                acc = mpmath.mpf(0)
+                for c in moduli[::-1]:
+                    acc = (acc + c) * mpmath.mpf(float(r))
+                assert abs(acc - mpmath.mpf(exact.numerator) / exact.denominator) <= 1e-35 * acc
 
 
 class TestMajorantDomination:
@@ -276,6 +367,15 @@ class TestBoundaryReach:
         f = make_map(NamedMap("half_plane_L", order=400))
         mx, mn = boundary_reach(f, 0.3)
         assert 0.0 < mn <= mx
+
+    @pytest.mark.parametrize("record", MAP_TABLE, ids=lambda r: r.name)
+    def test_series_agrees_with_closed_form(self, record):
+        # the series branch runs one inverse FFT per part on the circle
+        spec, p = witness_pairing(record)
+        root = solve_radius(p).root
+        series = boundary_reach(make_map(spec), root)
+        closed = boundary_reach(spec, root)
+        assert series == pytest.approx(closed, abs=1e-9, rel=0)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

@@ -6,6 +6,10 @@ the terminal width pinned so argparse's usage text does not depend on the
 console.  Re-record after an intended output change with
 
     PYTHONPATH=src python tests/test_cli_matrix.py
+
+The benchmark's own CLI menu, ``perfbench/cli_goldens.json`` (exit code and
+stdout sha256), is checked here read-only, so an output change that would
+fail the benchmark fails this suite first.
 """
 
 import contextlib
@@ -22,6 +26,9 @@ from bohrmap.cli import main
 
 MATRIX = Path(__file__).with_name("cli_matrix.json")
 ENTRIES = json.loads(MATRIX.read_text())
+BENCH_GOLDENS = json.loads(
+    (Path(__file__).parents[1] / "perfbench" / "cli_goldens.json").read_text()
+)
 
 
 def outcome(argv):
@@ -41,6 +48,14 @@ def test_invocation_matches_golden(entry, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
     code, stdout, stderr = outcome(entry["argv"])
     assert (code, stdout, stderr) == (entry["code"], entry["stdout"], entry["stderr"])
+
+
+@pytest.mark.parametrize("key", sorted(BENCH_GOLDENS))
+def test_benchmark_golden_matches(key, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, stdout, _ = outcome(key.split(" "))
+    want = BENCH_GOLDENS[key]
+    assert (code, stdout) == (want["code"], want["sha256"])
 
 
 if __name__ == "__main__":

@@ -1,10 +1,16 @@
 """Truncated power series arithmetic."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bohrmap
 from bohrmap import (
     PowerSeries,
     cauchy_product,
@@ -12,6 +18,7 @@ from bohrmap import (
     compose,
     eval_harmonic,
     evaluate,
+    evaluate_on_circle,
     HarmonicMap,
     random_schwarz,
     term_differentiate,
@@ -289,3 +296,59 @@ class TestCircleGrid:
     def test_rejects_radius_one(self):
         with pytest.raises(ValueError):
             circle_grid(1.0, 8)
+
+
+def _decaying_series(order, seed=0):
+    # |c_m| ~ 1/(m+1)^2: circle_grid's points carry a rounding error that
+    # z^m multiplies m-fold, and this decay keeps Horner's reference at
+    # those points accurate to a few ulps of the max norm
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal(order + 1) + 1j * rng.standard_normal(order + 1)
+    return PowerSeries(c / (np.arange(order + 1) + 1.0) ** 2)
+
+
+class TestEvaluateOnCircle:
+    @pytest.mark.parametrize("r", [0.0, 0.3, 0.999])
+    @pytest.mark.parametrize(
+        "order, samples",
+        [(0, 64), (1, 64), (63, 64), (64, 64), (197, 64),
+         (2000, 64), (2000, 4096), (4095, 4096), (4096, 4096), (12293, 4096)],
+    )
+    def test_matches_horner_on_circle_grid(self, order, samples, r):
+        # orders N - 1, N and 3N + 5 fold coefficients onto every residue
+        f = _decaying_series(order)
+        got = evaluate_on_circle(f, r, samples)
+        want = evaluate(f, circle_grid(r, samples))
+        assert got.shape == (samples,)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_exact_at_the_exact_points(self):
+        # unit-size coefficients at r = 0.999: Horner at circle_grid's
+        # rounded points is off by ~1e-13 here, the FFT by ~1e-16
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(1)
+        c = rng.standard_normal(2001) + 1j * rng.standard_normal(2001)
+        got = evaluate_on_circle(PowerSeries(c), 0.999, 64)
+        scale = np.max(np.abs(got))
+        with mpmath.workdps(30):
+            coeffs = [mpmath.mpc(x.real, x.imag) for x in c[::-1]]
+            for j in (0, 1, 17, 40):
+                z = mpmath.mpf(0.999) * mpmath.expjpi(mpmath.mpf(2 * j) / 64)
+                assert abs(got[j] - complex(mpmath.polyval(coeffs, z))) <= 1e-15 * scale
+
+    @pytest.mark.parametrize("r", [-0.1, 1.0, float("nan")])
+    def test_rejects_radius_like_circle_grid(self, r):
+        with pytest.raises(ValueError, match=r"radius must lie in \[0, 1\)"):
+            evaluate_on_circle(PowerSeries([0.0, 1.0]), r, 8)
+
+    def test_rejects_samples_like_circle_grid(self):
+        with pytest.raises(ValueError, match="samples must be >= 1"):
+            evaluate_on_circle(PowerSeries([0.0, 1.0]), 0.5, 0)
+
+    def test_import_leaves_numpy_fft_unloaded(self):
+        # the CLI is import-bound: numpy.fft costs ~2 ms and loads on first use
+        code = "import sys, bohrmap; print('numpy.fft' in sys.modules)"
+        src = str(Path(bohrmap.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert out.stdout.strip() == "False"

@@ -1,6 +1,7 @@
 """Schwarz compositions and coefficient domination."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,6 +24,8 @@ from bohrmap import (
     schwarz_sup,
     subordinate,
 )
+from bohrmap.bohr import _rounding_bound
+from test_bohr import FRACTION_BITS, exact_sums
 
 
 class TestSchwarzConstruction:
@@ -155,17 +158,21 @@ class TestDomination:
          ("half_plane_analytic", 12, 60, [0.05, 0.2, 1.0 / 3.0])],
     )
     def test_margin_is_termwise_moduli_difference(self, name, seed, M, r_grid):
+        # each computed sum is within _rounding_bound of its exact value and
+        # the difference rounds once, so the margin is within their total
         f = make_map(NamedMap(name, order=200)).h
         psi = random_schwarz(seed, 1 + seed % 8)
         order = 200 if M is None else M
         rs = np.linspace(1.0 / 48.0, 1.0 / 3.0, 16) if r_grid is None else r_grid
-        m = np.arange(1, order + 1, dtype=np.float64)
-        base = np.abs(f.truncated(order).coeffs[1:])
-        comp = np.abs(compose(f, psi.series, order).coeffs[1:])
-        want = min(
-            float(base @ float(r) ** m) - float(comp @ float(r) ** m) for r in rs
-        )
-        assert check_domination(f, psi, r_grid=r_grid, M=M) == want
+        base = exact_sums(np.abs(f.truncated(order).coeffs[1:]), rs)
+        comp = exact_sums(np.abs(compose(f, psi.series, order).coeffs[1:]), rs)
+        slack = 0
+        for b, c in zip(base, comp):
+            e = sum(Fraction(float(_rounding_bound(float(s), order))) for s in (b, c))
+            slack = max(slack, e + (abs(b - c) + e) / 2**53)
+        want = min(b - c for b, c in zip(base, comp))
+        got = check_domination(f, psi, r_grid=r_grid, M=M)
+        assert abs(Fraction(got) - want) <= slack + Fraction(2 * order, 2**FRACTION_BITS)
 
 
 class TestHarmonicSubordinationBound:
