@@ -204,11 +204,16 @@ def verify_inequality(
         raise ValueError("radius - margin must lie in (0, 1)")
     grid = np.linspace(0.0, top, grid_size)
     moduli = _checked_moduli(f, M, tail_constant)
+    if tail_constant == 0.0:
+        # C * m2_tail is 0 exactly, since m2_tail is finite and >= 0 on [0, 1)
+        tails = np.zeros(grid_size)
+    else:
+        tails = [tail_constant * m2_tail(float(r), len(moduli)) for r in grid]
     return BohrProfile(
         map_id=map_id,
         r_grid=grid,
         partial_sums=_sums(moduli, grid),
-        tail_bounds=[tail_constant * m2_tail(float(r), len(moduli)) for r in grid],
+        tail_bounds=tails,
         bound=bound,
         M=len(moduli),
     )

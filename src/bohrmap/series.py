@@ -12,12 +12,16 @@ the coefficient of the exact (infinite) operation.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
 DEFAULT_ORDER = 2000
 DEFAULT_COMPOSE_ORDER = 200
+# Power tables kept by ``_powers``: a subordination check composes several
+# series with one inner series, and an order-200 table is about 48 KB.
+POWER_TABLE_CACHE = 8
 
 
 class PowerSeries:
@@ -134,7 +138,8 @@ def compose(f: PowerSeries, psi: PowerSeries, order: int | None = None) -> Power
     (ceil(L/s) x s) @ (s x n) matrix product; Horner over psi^s takes
     ceil(L/s) - 1 more convolutions.  That is about 2 sqrt(n) convolutions
     of length n, O(n^2.5) in all, where Horner over psi itself needs n of
-    them, O(n^3).  Every product is truncated to ``order``.
+    them, O(n^3).  Every product is truncated to ``order``.  The power table
+    is built once per (psi, n, s) and reused by later calls.
     """
     if psi.coeffs[0] != 0:
         raise ValueError("inner series must satisfy psi(0) == 0")
@@ -144,13 +149,8 @@ def compose(f: PowerSeries, psi: PowerSeries, order: int | None = None) -> Power
         raise ValueError("order must be >= 0")
     n = order + 1
     fc = f.coeffs[:n]
-    pc = psi.coeffs[:n]
     s = math.isqrt(len(fc))
-    baby = np.zeros((s, n), dtype=np.complex128)
-    baby[0, 0] = 1.0
-    for i in range(1, s):
-        baby[i] = np.convolve(baby[i - 1], pc)[:n]
-    giant = np.convolve(baby[-1], pc)[:n]
+    baby, giant = _powers(psi, n, s)
     blocks = np.zeros(-(-len(fc) // s) * s, dtype=np.complex128)
     blocks[: len(fc)] = fc
     inner = blocks.reshape(-1, s) @ baby
@@ -158,6 +158,24 @@ def compose(f: PowerSeries, psi: PowerSeries, order: int | None = None) -> Power
     for j in range(len(inner) - 2, -1, -1):
         acc = np.convolve(acc, giant)[:n] + inner[j]
     return PowerSeries(acc)
+
+
+@functools.lru_cache(maxsize=POWER_TABLE_CACHE)
+def _powers(psi: PowerSeries, n: int, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """Baby steps psi^0..psi^(s-1) as an (s x n) matrix and giant step psi^s.
+
+    Every power is truncated to n coefficients.  Both arrays are shared by
+    every call with an equal (psi, n, s), so they are read-only.
+    """
+    pc = psi.coeffs[:n]
+    baby = np.zeros((s, n), dtype=np.complex128)
+    baby[0, 0] = 1.0
+    for i in range(1, s):
+        baby[i] = np.convolve(baby[i - 1], pc)[:n]
+    giant = np.convolve(baby[-1], pc)[:n]
+    baby.setflags(write=False)
+    giant.setflags(write=False)
+    return baby, giant
 
 
 class HarmonicMap:

@@ -1,5 +1,6 @@
 """Truncated power series arithmetic."""
 
+import math
 import os
 import subprocess
 import sys
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bohrmap
+from bohrmap import series
 from bohrmap import (
     PowerSeries,
     cauchy_product,
@@ -20,6 +22,8 @@ from bohrmap import (
     evaluate,
     evaluate_on_circle,
     HarmonicMap,
+    NamedMap,
+    make_map,
     random_schwarz,
     term_differentiate,
     term_integrate,
@@ -257,6 +261,80 @@ class TestComposeAgainstHorner:
         cut = compose(f.truncated(order), psi.truncated(order), order)
         assert compose(f, psi, order) == cut
         assert compose(f, psi) == compose(f.truncated(psi.order), psi)
+
+
+
+def uncached_compose(f, psi, order):
+    """compose() as it was before power tables were reused: every call
+    builds psi^0..psi^s itself.  Reuse must reproduce it bit for bit."""
+    n = order + 1
+    fc, pc = f.coeffs[:n], psi.coeffs[:n]
+    s = math.isqrt(len(fc))
+    baby = np.zeros((s, n), dtype=np.complex128)
+    baby[0, 0] = 1.0
+    for i in range(1, s):
+        baby[i] = np.convolve(baby[i - 1], pc)[:n]
+    giant = np.convolve(baby[-1], pc)[:n]
+    blocks = np.zeros(-(-len(fc) // s) * s, dtype=np.complex128)
+    blocks[: len(fc)] = fc
+    inner = blocks.reshape(-1, s) @ baby
+    acc = inner[-1]
+    for j in range(len(inner) - 2, -1, -1):
+        acc = np.convolve(acc, giant)[:n] + inner[j]
+    return acc
+
+
+def assert_same_as_uncached(f, psi, order):
+    got = compose(f, psi, order).coeffs
+    want = uncached_compose(f, psi, order)
+    assert got.shape == want.shape and np.array_equal(got, want)
+
+
+class TestPowerTableReuse:
+    """A reused power table gives every composite bit for bit."""
+
+    def test_interleaved_fs_orders_and_lengths(self):
+        rng = np.random.default_rng(7)
+        f_long, psi = random_pair(rng, 61, 61)
+        f_short, _ = random_pair(rng, 30, 1)
+        series._powers.cache_clear()
+        # (order, len f) = (60, 61), (60, 30), (40, 61), (40, 30): s = 7, 5, 6, 5
+        for _ in range(2):
+            for order in (60, 40):
+                for f in (f_long, f_short):
+                    assert_same_as_uncached(f, psi, order)
+                    assert_matches_horner(f, psi, order)
+        info = series._powers.cache_info()
+        assert (info.misses, info.hits) == (4, 12)
+
+    def test_equal_valued_copy_of_inner_series(self):
+        rng = np.random.default_rng(8)
+        f, psi = random_pair(rng, 50, 50)
+        twin = PowerSeries(np.array(psi.coeffs))
+        assert twin is not psi and twin == psi
+        assert_same_as_uncached(f, psi, 49)
+        assert_same_as_uncached(f, twin, 49)
+        assert series._powers(twin, 50, 7)[0] is series._powers(psi, 50, 7)[0]
+
+    def test_campaign_bases_and_subordinates_over_200_seeds(self):
+        m = np.arange(0.0, 201.0)
+        outer = [PowerSeries(m), PowerSeries(np.minimum(m, 1.0))]  # Koebe, half-plane
+        for name in ("p_k", "q_k"):
+            f = make_map(NamedMap(name, k=0.6, order=200))
+            outer += [f.h, f.g]
+        for seed in range(200):
+            psi = random_schwarz(seed, 1 + seed % 8).series
+            for f in outer:
+                assert_same_as_uncached(f, psi, 200)
+
+    def test_tables_are_read_only(self):
+        psi = random_schwarz(3, 4).series
+        baby, giant = series._powers(psi, 201, 14)
+        assert baby.shape == (14, 201) and giant.shape == (201,)
+        with pytest.raises(ValueError):
+            baby[1, 1] = 0.0
+        with pytest.raises(ValueError):
+            giant[0] = 1.0
 
 
 class TestHarmonicMap:
