@@ -19,8 +19,10 @@ import numpy as np
 
 DEFAULT_ORDER = 2000
 DEFAULT_COMPOSE_ORDER = 200
-# Power tables kept by ``_powers``: a subordination check composes several
-# series with one inner series, and an order-200 table is about 48 KB.
+# Power tables kept by ``_powers`` and composites kept by ``_composite``: a
+# subordination check composes several series with one inner series, and
+# composes some of them twice.  At order 200 a table is about 48 KB and a
+# composite 3 KB.
 POWER_TABLE_CACHE = 8
 
 
@@ -75,7 +77,8 @@ class PowerSeries:
         )
 
     def __hash__(self):
-        return hash((len(self.coeffs), self.coeffs.tobytes()))
+        # + 0.0 turns -0.0 into 0.0, which __eq__ treats as equal
+        return hash((len(self.coeffs), (self.coeffs + 0.0).tobytes()))
 
 
 def evaluate(series: PowerSeries, z):
@@ -139,7 +142,8 @@ def compose(f: PowerSeries, psi: PowerSeries, order: int | None = None) -> Power
     ceil(L/s) - 1 more convolutions.  That is about 2 sqrt(n) convolutions
     of length n, O(n^2.5) in all, where Horner over psi itself needs n of
     them, O(n^3).  Every product is truncated to ``order``.  The power table
-    is built once per (psi, n, s) and reused by later calls.
+    is built once per (psi, n, s), and the composite once per (f, psi,
+    order), both keyed by value; later calls reuse them.
     """
     if psi.coeffs[0] != 0:
         raise ValueError("inner series must satisfy psi(0) == 0")
@@ -147,6 +151,13 @@ def compose(f: PowerSeries, psi: PowerSeries, order: int | None = None) -> Power
         order = min(f.order, psi.order)
     if order < 0:
         raise ValueError("order must be >= 0")
+    return _composite(f, psi, order)
+
+
+# typed: a float order equal to a cached int one must still fail the slicing
+@functools.lru_cache(maxsize=POWER_TABLE_CACHE, typed=True)
+def _composite(f: PowerSeries, psi: PowerSeries, order: int) -> PowerSeries:
+    """compose(f, psi, order) after its checks; the result is immutable."""
     n = order + 1
     fc = f.coeffs[:n]
     s = math.isqrt(len(fc))

@@ -8,6 +8,7 @@ monotone scan (uniqueness evidence; the analytic fact is not re-proven).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass, replace
 
@@ -20,6 +21,9 @@ WIDTH_TOL = 1e-13
 RESIDUAL_TOL = 1e-9
 MONOTONE_GRID = 1000
 _MAX_ITERATIONS = 200
+# Bisection certificates kept by ``_bisection_certificate``: one verification
+# solves the same problem for its profile, its sharpness scan and its report.
+CERTIFICATE_CACHE = 16
 
 
 @dataclass(frozen=True)
@@ -135,7 +139,9 @@ def solve_radius(p: RadiusProblem, tol: float = WIDTH_TOL) -> RootCertificate:
     [1e-9, 1 - 1e-9] (the majorants diverge at r = 1, so the upper end is
     clamped away from it).  Closed-form variants return the algebraic value
     as a degenerate certificate, after checking that it lies in (0, 1);
-    tol is checked for them too, although they do not use it.
+    tol is checked for them too, although they do not use it.  A
+    root-defined certificate is computed once per (p, tol) by value and
+    reused; the returned one always names the caller's own p.
     """
     _check_tol(tol)
     if not p.root_defined:
@@ -153,6 +159,12 @@ def solve_radius(p: RadiusProblem, tol: float = WIDTH_TOL) -> RootCertificate:
             iterations=0,
             monotone_checked=False,
         )
+    return replace(_bisection_certificate(p, tol), problem=p)
+
+
+@functools.lru_cache(maxsize=CERTIFICATE_CACHE, typed=True)
+def _bisection_certificate(p: RadiusProblem, tol: float) -> RootCertificate:
+    """Monotone scan and certified bisection of a root-defined problem."""
     grid = np.linspace(0.0, 0.99, MONOTONE_GRID + 2)[1:-1]
     values = majorant_value(p, grid)
     monotone = bool(np.all(np.diff(values) > 0.0))

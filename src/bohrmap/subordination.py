@@ -15,6 +15,7 @@ absorbs.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -38,6 +39,9 @@ SCHWARZ_SUP_TOL = 1e-6
 MAX_BLASCHKE_MODULUS = 0.8
 MAX_RANDOM_DEGREE = 8
 DOMINATION_TOL = 1e-9
+# Base-series Bohr sums kept by ``_base_sums``: a campaign checks every
+# Schwarz function against the same few bases on one grid.
+BASE_SUM_CACHE = 8
 
 
 @dataclass(frozen=True)
@@ -171,9 +175,15 @@ def check_domination(
         raise ValueError("r_grid must lie in (0, 1/3]")
     if M is None:
         M = min(f.order, DEFAULT_COMPOSE_ORDER)
-    base = _sums(np.abs(f.truncated(M).coeffs[1:]), r_grid)
+    base = _base_sums(f, M, r_grid.tobytes())
     composed = _sums(np.abs(compose(f, psi.series, M).coeffs[1:]), r_grid)
     return min(b - c for b, c in zip(base, composed))
+
+
+@functools.lru_cache(maxsize=BASE_SUM_CACHE, typed=True)
+def _base_sums(f: PowerSeries, M: int, grid: bytes) -> tuple[float, ...]:
+    """Bohr sums of f truncated to M on the float64 radii packed in ``grid``."""
+    return tuple(_sums(np.abs(f.truncated(M).coeffs[1:]), np.frombuffer(grid)))
 
 
 def check_harmonic_subordination_bound(f1: HarmonicMap, p: RadiusProblem) -> BohrProfile:
@@ -211,7 +221,7 @@ def domination_campaign(
     for seed in seeds:
         psi = random_schwarz(seed, degree=1 + seed % MAX_RANDOM_DEGREE, order=order)
         for name in map_names:
-            m = check_domination(bases[name], psi)
+            m = check_domination(bases[name], psi, M=order)
             cases.append(
                 {"seed": int(seed), "psi": psi.description, "map": name, "margin": m}
             )

@@ -287,7 +287,7 @@ def uncached_compose(f, psi, order):
 def assert_same_as_uncached(f, psi, order):
     got = compose(f, psi, order).coeffs
     want = uncached_compose(f, psi, order)
-    assert got.shape == want.shape and np.array_equal(got, want)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 class TestPowerTableReuse:
@@ -298,14 +298,18 @@ class TestPowerTableReuse:
         f_long, psi = random_pair(rng, 61, 61)
         f_short, _ = random_pair(rng, 30, 1)
         series._powers.cache_clear()
+        series._composite.cache_clear()
         # (order, len f) = (60, 61), (60, 30), (40, 61), (40, 30): s = 7, 5, 6, 5
         for _ in range(2):
             for order in (60, 40):
                 for f in (f_long, f_short):
                     assert_same_as_uncached(f, psi, order)
                     assert_matches_horner(f, psi, order)
-        info = series._powers.cache_info()
-        assert (info.misses, info.hits) == (4, 12)
+        # each table is built by the first composite that needs it; every
+        # later call finds the composite itself
+        tables, composites = series._powers.cache_info(), series._composite.cache_info()
+        assert (tables.misses, tables.hits) == (4, 0)
+        assert (composites.misses, composites.hits) == (4, 12)
 
     def test_equal_valued_copy_of_inner_series(self):
         rng = np.random.default_rng(8)
@@ -327,6 +331,17 @@ class TestPowerTableReuse:
             for f in outer:
                 assert_same_as_uncached(f, psi, 200)
 
+    def test_signed_zeros_hash_alike_and_share_one_composite(self):
+        neg, pos = PowerSeries([0.0, -0.0, 1.0]), PowerSeries([0.0, 0.0, 1.0])
+        assert neg == pos and hash(neg) == hash(pos)
+        assert PowerSeries([complex(-0.0, -0.0)]) == PowerSeries([0.0])
+        assert hash(PowerSeries([complex(-0.0, -0.0)])) == hash(PowerSeries([0.0]))
+        f = PowerSeries([1.0, 2.0, 3.0])
+        series._composite.cache_clear()
+        assert compose(f, neg) is compose(f, pos)
+        info = series._composite.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+
     def test_tables_are_read_only(self):
         psi = random_schwarz(3, 4).series
         baby, giant = series._powers(psi, 201, 14)
@@ -335,6 +350,50 @@ class TestPowerTableReuse:
             baby[1, 1] = 0.0
         with pytest.raises(ValueError):
             giant[0] = 1.0
+
+
+def composite_pool():
+    """12 (f, psi, order) triples, more than the composite cache holds."""
+    rng = np.random.default_rng(11)
+    fs = [random_pair(rng, 41, 1)[0] for _ in range(3)]
+    psis = [random_pair(rng, 1, 41)[1] for _ in range(2)]
+    return [(f, psi, order) for f in fs for psi in psis for order in (40, 25)]
+
+
+POOL = composite_pool()
+
+
+class TestCompositeReuse:
+    """A composite found in the cache is the composite computed afresh."""
+
+    def test_interleaved_sequence_longer_than_the_cache(self):
+        assert len(POOL) > series.POWER_TABLE_CACHE
+        series._composite.cache_clear()
+        for i in np.random.default_rng(12).integers(0, len(POOL), 5 * len(POOL)):
+            assert_same_as_uncached(*POOL[i])
+        # some calls were served from the cache, and some entries were
+        # evicted and computed again
+        info = series._composite.cache_info()
+        assert info.hits > 0 and info.misses > len(POOL)
+
+    @given(st.lists(st.integers(0, len(POOL) - 1), min_size=1, max_size=40))
+    @settings(max_examples=40, deadline=None)
+    def test_any_sequence(self, picks):
+        for i in picks:
+            assert_same_as_uncached(*POOL[i])
+
+    def test_subordinate_reuses_the_domination_checks_composite(self):
+        psi = random_schwarz(5, 6)
+        koebe = make_map(NamedMap("koebe_analytic", order=200)).h
+        pk = make_map(NamedMap("p_k", k=0.4, order=200))
+        assert pk.h == koebe
+        series._composite.cache_clear()
+        bohrmap.check_domination(koebe, psi)
+        sub = bohrmap.subordinate(pk, psi)
+        info = series._composite.cache_info()
+        assert (info.misses, info.hits) == (2, 1)  # koebe o psi, then g o psi
+        assert sub.h.coeffs.tobytes() == uncached_compose(koebe, psi.series, 200).tobytes()
+        assert sub.g.coeffs.tobytes() == uncached_compose(pk.g, psi.series, 200).tobytes()
 
 
 class TestHarmonicMap:

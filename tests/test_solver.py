@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from bohrmap import solver
 from bohrmap import (
     RadiusProblem,
     RootCertificate,
@@ -164,6 +165,20 @@ class TestSolveRadius:
         p = RadiusProblem("cor25_monomial", n=2)
         a, b = solve_radius(p), solve_radius(p)
         assert a.root == b.root and a.residual == b.residual
+
+    def test_reused_certificate_equals_a_fresh_one_and_names_the_callers_problem(self):
+        p = RadiusProblem("thm24_monomial", k=1, n=2)
+        twin = RadiusProblem("thm24_monomial", k=1.0, n=2)
+        assert twin == p and twin is not p
+        solver._bisection_certificate.cache_clear()
+        cold = solve_radius(p)
+        warm, other = solve_radius(p), solve_radius(twin)
+        assert solver._bisection_certificate.cache_info().misses == 1
+        assert cold == warm == other
+        assert cold.problem is p and warm.problem is p and other.problem is twin
+        fields = ("lo", "hi", "root", "residual")
+        assert [getattr(warm, f) for f in fields] == [getattr(cold, f) for f in fields]
+        assert (warm.iterations, warm.monotone_checked) == (cold.iterations, True)
 
     def test_loose_tolerance_still_certifies(self):
         cert = solve_radius(RadiusProblem("cor25_monomial", n=1), tol=1e-6)

@@ -24,8 +24,9 @@ from bohrmap import (
     schwarz_sup,
     subordinate,
 )
-from bohrmap.bohr import _rounding_bound
+from bohrmap.bohr import _rounding_bound, _sums
 from test_bohr import FRACTION_BITS, exact_sums
+from test_series import uncached_compose
 
 
 class TestSchwarzConstruction:
@@ -204,12 +205,45 @@ class TestCampaign:
     def test_all_pass_is_the_margin_rule(self, margin, monkeypatch):
         import bohrmap.subordination
 
-        monkeypatch.setattr(bohrmap.subordination, "check_domination", lambda f, psi: margin)
+        monkeypatch.setattr(
+            bohrmap.subordination, "check_domination", lambda f, psi, M: margin
+        )
         report = domination_campaign(seeds=range(2))
         assert report["worst_margin"] == margin
         assert report["all_pass"] is (margin >= -DOMINATION_TOL)
         # the CLI prints the report as is: the verdict is its last key
         assert list(report)[-1] == "all_pass"
+
+    @pytest.mark.parametrize("order", [60, 200, 300])
+    def test_cases_are_checked_at_the_campaign_order(self, order, monkeypatch):
+        import bohrmap.subordination
+
+        seen = []
+
+        def spy(f, psi, M):
+            seen.append((f.order, psi.series.order, M))
+            return 0.0
+
+        monkeypatch.setattr(bohrmap.subordination, "check_domination", spy)
+        domination_campaign(seeds=range(2), order=order)
+        assert seen == [(order, order, order)] * 4
+
+    def test_margins_over_200_seeds_equal_an_uncached_computation(self):
+        # the campaign reuses base sums and composites; a local formula
+        # that recomputes both must give every margin bit for bit
+        grid = np.linspace(1.0 / 48.0, 1.0 / 3.0, 16)
+        report = domination_campaign()
+        cases = iter(report["cases"])
+        names = ("koebe_analytic", "half_plane_analytic")
+        bases = [make_map(NamedMap(name, order=200)).h for name in names]
+        for seed in range(200):
+            psi = random_schwarz(seed, 1 + seed % 8, order=200)
+            for name, f in zip(names, bases):
+                base = _sums(np.abs(f.coeffs[1:]), grid)
+                comp = _sums(np.abs(uncached_compose(f, psi.series, 200)[1:]), grid)
+                case = next(cases)
+                assert (case["seed"], case["map"]) == (seed, name)
+                assert case["margin"] == min(b - c for b, c in zip(base, comp))
 
     def test_campaign_is_deterministic(self):
         a = domination_campaign(seeds=range(3))
