@@ -18,7 +18,7 @@ import numpy as np
 
 from .catalog import NamedMap, closed_form_eval, make_map
 from .radii import RadiusProblem, m2_tail
-from .series import HarmonicMap, circle_grid, evaluate_on_circle
+from .series import HarmonicMap, _check_integer, circle_grid, evaluate_on_circle
 from .solver import solve_radius
 
 DEFAULT_MARGIN = 1e-3
@@ -110,6 +110,7 @@ def _checked_moduli(f: HarmonicMap, M: int | None, tail_constant: float) -> np.n
     """|a_m| + |b_m| for m = 1..M, after checking M and the tail constant."""
     if M is None:
         M = f.order
+    _check_integer("M", M)
     if not 0 <= M <= f.order:
         raise ValueError("M must lie in [0, truncation order]")
     if tail_constant < 0.0:
@@ -184,7 +185,6 @@ def verify_inequality(
     radius: float | None = None,
     margin: float = DEFAULT_MARGIN,
     grid_size: int = DEFAULT_GRID_SIZE,
-    M: int | None = None,
     tail_constant: float = DEFAULT_TAIL_CONSTANT,
 ) -> BohrProfile:
     """Profile of the Bohr inequality on r in [0, radius - margin].
@@ -203,7 +203,7 @@ def verify_inequality(
     if not 0.0 < top < 1.0:
         raise ValueError("radius - margin must lie in (0, 1)")
     grid = np.linspace(0.0, top, grid_size)
-    moduli = _checked_moduli(f, M, tail_constant)
+    moduli = _checked_moduli(f, None, tail_constant)
     if tail_constant == 0.0:
         # C * m2_tail is 0 exactly, since m2_tail is finite and >= 0 on [0, 1)
         tails = np.zeros(grid_size)

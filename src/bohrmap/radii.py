@@ -71,11 +71,11 @@ class Variant:
 
     ``params`` names the parameters the statement takes, in ("K", "k", "n");
     ``bound`` is the right side of its Bohr inequality: "1", "d" (the
-    caller-supplied boundary distance) or "1+|a|" (the automorphism
-    dilatation parameter).  ``closed_form`` maps a ``RadiusProblem`` to its
-    algebraic radius; ``majorant`` maps (problem, r) to majorant minus
-    bound, negative below the radius and positive above.  A variant has
-    one or both.  ``min_rule_base`` marks the variants whose radius the
+    caller-supplied boundary distance) or "1+|a|" (caller-supplied too, a
+    being the automorphism dilatation parameter).  ``closed_form`` maps a
+    ``RadiusProblem`` to its algebraic radius; ``majorant`` maps (problem,
+    r) to majorant minus bound, negative below the radius and positive
+    above.  A variant has one or both.  ``min_rule_base`` marks the variants whose radius the
     subordination cap min(1/3, radius) applies to.
     """
 
@@ -216,40 +216,19 @@ class RadiusProblem:
     def root_defined(self) -> bool:
         return self.record.majorant is not None
 
-    def describe(self) -> str:
-        """One-line statement of family, bound, and radius expression."""
-        parts = [self.record.description]
-        params = []
-        if self.K is not None:
-            params.append(f"K={self.K:g}")
-        if self.k is not None:
-            params.append(f"k={self.k:g}")
-        if self.n is not None:
-            params.append(f"n={self.n}")
-        if params:
-            parts.append("(" + ", ".join(params) + ")")
-        return " ".join(parts)
+    def bound(self) -> float:
+        """Right side of the Bohr inequality for this variant: 1, or raise.
 
-    def bound(self, mobius_a: float | None = None) -> float:
-        """Right side of the Bohr inequality for this variant.
-
-        The automorphism variant requires ``mobius_a`` and returns 1 + |a|,
-        a constant the statement supplies without interpretation;
-        distance-scaled variants raise, because only the caller knows the
-        distance d from the image of 0 to the image boundary and passes it
-        as the bound itself; all other variants return 1.
+        The distance-scaled and automorphism variants raise: only the caller
+        knows the distance d from the image of 0 to the image boundary, or
+        the dilatation parameter a, and passes d or 1 + |a| as the bound
+        itself.
         """
-        v = self.variant
         kind = self.record.bound
         if kind == "d":
-            raise ValueError(f"{v} bound needs the boundary distance d")
+            raise ValueError(f"{self.variant} bound needs the boundary distance d")
         if kind == "1+|a|":
-            if mobius_a is None:
-                raise ValueError(f"{v} bound needs the dilatation parameter a")
-            _check_param("a", mobius_a)
-            return 1.0 + abs(mobius_a)
-        if mobius_a is not None:
-            raise ValueError(f"{v} has the fixed bound 1")
+            raise ValueError(f"{self.variant} bound needs the dilatation parameter a")
         return 1.0
 
 
@@ -286,54 +265,6 @@ def majorant_value(p: RadiusProblem, r):
     return val
 
 
-# ---------------------------------------------------------------------------
-# Series identities behind the majorants.
-
-@dataclass(frozen=True)
-class MajorantIdentity:
-    """A summable term family t(m) r^m with its closed form in r.
-
-    Every majorant above is a combination of these five sums; checking each
-    truncation against its closed form pins the algebra the majorants rely
-    on.
-    """
-
-    name: str
-    term: Callable[[np.ndarray, float], np.ndarray]
-    closed_form: Callable[[float], float]
-
-
-IDENTITIES = {
-    "sum_m_rm": MajorantIdentity(
-        "sum_m_rm",
-        lambda m, r: m * r**m,
-        lambda r: r / (1.0 - r) ** 2,
-    ),
-    "sum_rm": MajorantIdentity(
-        "sum_rm",
-        lambda m, r: r**m,
-        lambda r: r / (1.0 - r),
-    ),
-    "sum_rm_over_m": MajorantIdentity(
-        "sum_rm_over_m",
-        lambda m, r: r**m / m,
-        lambda r: -math.log1p(-r),
-    ),
-    "sum_m_mplus1_rm": MajorantIdentity(
-        "sum_m_mplus1_rm",
-        lambda m, r: m * (m + 1.0) * r**m,
-        lambda r: r * (1.0 + r) / (1.0 - r) ** 3 + r / (1.0 - r) ** 2,
-    ),
-    "sum_2m2plus1_over3_rm": MajorantIdentity(
-        "sum_2m2plus1_over3_rm",
-        lambda m, r: (2.0 * m**2 + 1.0) / 3.0 * r**m,
-        lambda r: 2.0 * r * (1.0 + r) / (3.0 * (1.0 - r) ** 3)
-        + r / (3.0 * (1.0 - r)),
-    ),
-}
-IDENTITY_NAMES = tuple(IDENTITIES)
-
-
 def m2_tail(r: float, M: int) -> float:
     """Closed form of sum_{m > M} m^2 r^m, for 0 <= r < 1.
 
@@ -350,19 +281,3 @@ def m2_tail(r: float, M: int) -> float:
     N = M + 1
     poly = N**2 - (2.0 * N**2 - 2.0 * N - 1.0) * r + (N - 1) ** 2 * r**2
     return float(r**N * poly / (1.0 - r) ** 3)
-
-
-def identity_tail_bound(r: float, M: int) -> float:
-    """Tail bound valid for every identity above: terms are <= 2 m^2 r^m."""
-    return 2.0 * m2_tail(r, M)
-
-
-def majorant_identity_check(identity: MajorantIdentity, r: float, M: int) -> float:
-    """|truncated sum - closed form|; must sit within identity_tail_bound."""
-    if not 0.0 <= r <= 0.95:
-        raise ValueError("r must lie in [0, 0.95] for the stated tail bound")
-    if M < 1:
-        raise ValueError("M must be >= 1")
-    m = np.arange(1, M + 1, dtype=np.float64)
-    partial = float(np.sum(identity.term(m, r)))
-    return abs(partial - identity.closed_form(r))

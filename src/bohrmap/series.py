@@ -26,6 +26,12 @@ DEFAULT_COMPOSE_ORDER = 200
 POWER_TABLE_CACHE = 8
 
 
+def _check_integer(name: str, value) -> None:
+    """Refuse an order or term count that is not an integer, such as 2.0."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer")
+
+
 class PowerSeries:
     """Coefficients c_0..c_M of sum c_m z^m, stored as complex128.
 
@@ -54,6 +60,7 @@ class PowerSeries:
 
     def truncated(self, order: int) -> "PowerSeries":
         """Copy with coefficients kept through ``order`` (zero-padded if higher)."""
+        _check_integer("order", order)
         if order < 0:
             raise ValueError("order must be >= 0")
         n = order + 1
@@ -149,13 +156,13 @@ def compose(f: PowerSeries, psi: PowerSeries, order: int | None = None) -> Power
         raise ValueError("inner series must satisfy psi(0) == 0")
     if order is None:
         order = min(f.order, psi.order)
+    _check_integer("order", order)
     if order < 0:
         raise ValueError("order must be >= 0")
     return _composite(f, psi, order)
 
 
-# typed: a float order equal to a cached int one must still fail the slicing
-@functools.lru_cache(maxsize=POWER_TABLE_CACHE, typed=True)
+@functools.lru_cache(maxsize=POWER_TABLE_CACHE)
 def _composite(f: PowerSeries, psi: PowerSeries, order: int) -> PowerSeries:
     """compose(f, psi, order) after its checks; the result is immutable."""
     n = order + 1

@@ -27,6 +27,7 @@ from .series import (
     DEFAULT_COMPOSE_ORDER,
     HarmonicMap,
     PowerSeries,
+    _check_integer,
     cauchy_product,
     compose,
     evaluate_on_circle,
@@ -39,8 +40,11 @@ SCHWARZ_SUP_TOL = 1e-6
 MAX_BLASCHKE_MODULUS = 0.8
 MAX_RANDOM_DEGREE = 8
 DOMINATION_TOL = 1e-9
+# The radii check_domination compares the two Bohr sums at.
+DOMINATION_GRID = np.linspace(1.0 / 48.0, 1.0 / 3.0, 16)
+DOMINATION_GRID.setflags(write=False)
 # Base-series Bohr sums kept by ``_base_sums``: a campaign checks every
-# Schwarz function against the same few bases on one grid.
+# Schwarz function against the same few bases.
 BASE_SUM_CACHE = 8
 
 
@@ -153,37 +157,25 @@ def subordinate(f, psi: SchwarzFunction):
     raise TypeError("f must be a PowerSeries or HarmonicMap")
 
 
-def check_domination(
-    f: PowerSeries,
-    psi: SchwarzFunction,
-    r_grid=None,
-    M: int | None = None,
-) -> float:
-    """Worst margin of sum |a_m| r^m - sum |(f o psi)_m| r^m over the grid.
+def check_domination(f: PowerSeries, psi: SchwarzFunction, M: int | None = None) -> float:
+    """Worst margin of sum |a_m| r^m - sum |(f o psi)_m| r^m over DOMINATION_GRID.
 
-    The grid must be nonempty and sit in (0, 1/3], where subordination
-    forces the composite sum below the original.  A margin >= -DOMINATION_TOL
-    counts as holding; anything lower is a genuine counterexample to the
-    implementation.
+    The grid sits in (0, 1/3], where subordination forces the composite
+    sum below the original.  A margin >= -DOMINATION_TOL counts as holding;
+    anything lower is a genuine counterexample to the implementation.
     """
-    if r_grid is None:
-        r_grid = np.linspace(1.0 / 48.0, 1.0 / 3.0, 16)
-    r_grid = np.asarray(r_grid, dtype=np.float64)
-    if r_grid.size == 0:
-        raise ValueError("r_grid must not be empty")
-    if not np.all((r_grid > 0.0) & (r_grid <= 1.0 / 3.0)):
-        raise ValueError("r_grid must lie in (0, 1/3]")
     if M is None:
         M = min(f.order, DEFAULT_COMPOSE_ORDER)
-    base = _base_sums(f, M, r_grid.tobytes())
-    composed = _sums(np.abs(compose(f, psi.series, M).coeffs[1:]), r_grid)
+    _check_integer("M", M)
+    base = _base_sums(f, M)
+    composed = _sums(np.abs(compose(f, psi.series, M).coeffs[1:]), DOMINATION_GRID)
     return min(b - c for b, c in zip(base, composed))
 
 
-@functools.lru_cache(maxsize=BASE_SUM_CACHE, typed=True)
-def _base_sums(f: PowerSeries, M: int, grid: bytes) -> tuple[float, ...]:
-    """Bohr sums of f truncated to M on the float64 radii packed in ``grid``."""
-    return tuple(_sums(np.abs(f.truncated(M).coeffs[1:]), np.frombuffer(grid)))
+@functools.lru_cache(maxsize=BASE_SUM_CACHE)
+def _base_sums(f: PowerSeries, M: int) -> tuple[float, ...]:
+    """Bohr sums of f truncated to M on DOMINATION_GRID."""
+    return tuple(_sums(np.abs(f.truncated(M).coeffs[1:]), DOMINATION_GRID))
 
 
 def check_harmonic_subordination_bound(f1: HarmonicMap, p: RadiusProblem) -> BohrProfile:

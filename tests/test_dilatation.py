@@ -77,7 +77,6 @@ BUILDERS = {
         lambda v: MonomialDilatation(k=0.5, n=v),
     ],
     "a": [
-        lambda v: RadiusProblem("thm27_mobius").bound(mobius_a=v),
         lambda v: MobiusDilatation(a=v),
     ],
 }

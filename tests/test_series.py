@@ -396,6 +396,30 @@ class TestCompositeReuse:
         assert sub.g.coeffs.tobytes() == uncached_compose(pk.g, psi.series, 200).tobytes()
 
 
+
+# Each entry point that takes an order or term count, called with that count.
+COUNT_ENTRY_POINTS = {
+    "compose": lambda n: compose(PowerSeries([0.0, 1.0, 2.0]), PowerSeries([0.0, 0.5]), n),
+    "check_domination": lambda n: bohrmap.check_domination(
+        make_map(NamedMap("koebe", order=60)).h, bohrmap.monomial_schwarz(0.5, 1), M=n
+    ),
+    "truncated": lambda n: PowerSeries([1.0, 2.0]).truncated(n),
+    "make_map": lambda n: make_map(NamedMap("koebe", order=n)),
+    "bohr_partial_sum": lambda n: bohrmap.bohr_partial_sum(
+        make_map(NamedMap("koebe", order=60)), 0.3, M=n
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(COUNT_ENTRY_POINTS))
+def test_non_integer_count_is_refused(entry):
+    # the int call first fills any value-keyed cache that an equal float
+    # would otherwise hit
+    call = COUNT_ENTRY_POINTS[entry]
+    call(50)
+    with pytest.raises(ValueError, match="must be an integer"):
+        call(50.0)
+
 class TestHarmonicMap:
     def test_requires_matching_orders(self):
         with pytest.raises(ValueError):

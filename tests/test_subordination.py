@@ -1,6 +1,5 @@
 """Schwarz compositions and coefficient domination."""
 
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -25,6 +24,7 @@ from bohrmap import (
     subordinate,
 )
 from bohrmap.bohr import _rounding_bound, _sums
+from bohrmap.subordination import DOMINATION_GRID
 from test_bohr import FRACTION_BITS, exact_sums
 from test_series import uncached_compose
 
@@ -124,13 +124,14 @@ class TestDomination:
         assert margin == 0.0
 
     def test_koebe_square_margin_at_one_third(self):
-        # sum m (1/3)^{2m} vs sum m (1/3)^m: margin is exactly 39/64 - r/(1-r)^2
-        # evaluated termwise; frozen closed-form value
+        # sum m r^{2m} vs sum m r^m on the grid up to r = 1/3: the difference
+        # r/(1-r)^2 - r^2/(1-r^2)^2 grows with r (39/64 at 1/3), so the
+        # margin is its closed form at the grid's first point
         f = make_map(NamedMap("koebe_analytic", order=200)).h
-        margin = check_domination(
-            f, monomial_schwarz(1.0, 2), r_grid=np.array([1.0 / 3.0])
-        )
-        assert margin == pytest.approx(0.609375, rel=1e-12)
+        margin = check_domination(f, monomial_schwarz(1.0, 2))
+        r = DOMINATION_GRID[0]
+        assert DOMINATION_GRID[-1] == 1.0 / 3.0
+        assert margin == pytest.approx(r / (1 - r) ** 2 - r**2 / (1 - r**2) ** 2, rel=1e-12)
 
     def test_rotation_keeps_margin_nonnegative(self):
         f = make_map(NamedMap("half_plane_analytic", order=200)).h
@@ -142,37 +143,23 @@ class TestDomination:
         psi = blaschke_schwarz([0.3, -0.5j], rotation=0.2)
         assert check_domination(f, psi) > 0.0
 
-    def test_grid_validation(self):
-        f = make_map(NamedMap("koebe_analytic", order=200)).h
-        with pytest.raises(ValueError):
-            check_domination(f, monomial_schwarz(0.5, 1), r_grid=np.array([0.4]))
-        # no point checked is no proof
-        with pytest.raises(ValueError):
-            check_domination(f, monomial_schwarz(0.5, 1), r_grid=[])
-        # NaN fails every comparison, so it must not read as in range
-        with pytest.raises(ValueError):
-            check_domination(f, monomial_schwarz(0.5, 1), r_grid=[0.1, math.nan])
-
     @pytest.mark.parametrize(
-        "name, seed, M, r_grid",
-        [("koebe_analytic", 7, None, None),
-         ("half_plane_analytic", 12, 60, [0.05, 0.2, 1.0 / 3.0])],
+        "name, seed, M", [("koebe_analytic", 7, None), ("half_plane_analytic", 12, 60)]
     )
-    def test_margin_is_termwise_moduli_difference(self, name, seed, M, r_grid):
+    def test_margin_is_termwise_moduli_difference(self, name, seed, M):
         # each computed sum is within _rounding_bound of its exact value and
         # the difference rounds once, so the margin is within their total
         f = make_map(NamedMap(name, order=200)).h
         psi = random_schwarz(seed, 1 + seed % 8)
         order = 200 if M is None else M
-        rs = np.linspace(1.0 / 48.0, 1.0 / 3.0, 16) if r_grid is None else r_grid
-        base = exact_sums(np.abs(f.truncated(order).coeffs[1:]), rs)
-        comp = exact_sums(np.abs(compose(f, psi.series, order).coeffs[1:]), rs)
+        base = exact_sums(np.abs(f.truncated(order).coeffs[1:]), DOMINATION_GRID)
+        comp = exact_sums(np.abs(compose(f, psi.series, order).coeffs[1:]), DOMINATION_GRID)
         slack = 0
         for b, c in zip(base, comp):
             e = sum(Fraction(float(_rounding_bound(float(s), order))) for s in (b, c))
             slack = max(slack, e + (abs(b - c) + e) / 2**53)
         want = min(b - c for b, c in zip(base, comp))
-        got = check_domination(f, psi, r_grid=r_grid, M=M)
+        got = check_domination(f, psi, M=M)
         assert abs(Fraction(got) - want) <= slack + Fraction(2 * order, 2**FRACTION_BITS)
 
 

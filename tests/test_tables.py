@@ -1,23 +1,28 @@
-"""Invariants across the variant and map tables.
+"""Invariants across the variant and map tables, and the package's exports.
 
 Every record of ``VARIANT_TABLE`` and ``MAP_TABLE`` is checked here, so a
 new theorem or map is covered without editing this file.
 """
 
 import itertools
+import types
 
 import pytest
 
+import bohrmap
 from bohrmap import (
     MAP_NAMES,
     MAP_TABLE,
     VARIANT_TABLE,
     VARIANTS,
+    NamedMap,
     RadiusProblem,
     closed_form_radius,
     majorant_value,
+    make_map,
     resolve_name,
     resolve_variant,
+    verify_inequality,
 )
 
 # Parameter values every record is checked at, spanning each range.
@@ -57,6 +62,20 @@ def test_variant_record_is_well_formed(record):
     assert record.closed_form or record.majorant
 
 
+@by_name(VARIANT_TABLE)
+def test_only_a_unit_bound_is_the_variants_own(record):
+    # a "d" or "1+|a|" bound comes from the caller, so omitting it is refused
+    f = make_map(NamedMap("half_plane_analytic", order=10))
+    for p in problems(record):
+        if record.bound == "1":
+            assert p.bound() == 1.0
+            continue
+        with pytest.raises(ValueError, match="bound needs the"):
+            p.bound()
+        with pytest.raises(ValueError, match="bound needs the"):
+            verify_inequality(f, p)
+
+
 @by_name([v for v in VARIANT_TABLE if v.majorant])
 def test_majorant_changes_sign(record):
     for p in problems(record):
@@ -79,3 +98,11 @@ def test_map_witnesses_are_real_variants_with_presets(record):
     pinned = {name for name, _ in record.pins}
     assert pinned <= {name for v in witnessed for name in v.params}
     assert record.tail_constant > 0.0
+
+
+def test_all_lists_exactly_the_public_names():
+    public = {
+        name for name, value in vars(bohrmap).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert sorted(bohrmap.__all__) == sorted(public | {"__version__"})
