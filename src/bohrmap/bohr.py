@@ -18,7 +18,7 @@ import numpy as np
 
 from .catalog import NamedMap, closed_form_eval, make_map
 from .radii import RadiusProblem, m2_tail
-from .series import HarmonicMap, _check_integer, circle_grid, evaluate_on_circle
+from .series import HarmonicMap, _check_count, circle_grid, evaluate_on_circle
 from .solver import solve_radius
 
 DEFAULT_MARGIN = 1e-3
@@ -64,8 +64,7 @@ class BohrProfile:
         if not np.all(tails >= 0.0):
             raise ValueError("tail bounds must be nonnegative")
         _check_bound(self.bound)
-        if self.M < 0:
-            raise ValueError("M must be >= 0")
+        _check_count("M", self.M, 0)
         object.__setattr__(self, "r_grid", r)
         object.__setattr__(self, "partial_sums", sums)
         object.__setattr__(self, "tail_bounds", tails)
@@ -110,8 +109,8 @@ def _checked_moduli(f: HarmonicMap, M: int | None, tail_constant: float) -> np.n
     """|a_m| + |b_m| for m = 1..M, after checking M and the tail constant."""
     if M is None:
         M = f.order
-    _check_integer("M", M)
-    if not 0 <= M <= f.order:
+    _check_count("M", M, 0)
+    if M > f.order:
         raise ValueError("M must lie in [0, truncation order]")
     if tail_constant < 0.0:
         raise ValueError("tail_constant must be >= 0")
@@ -196,8 +195,7 @@ def verify_inequality(
     """
     if not margin > 0.0:
         raise ValueError("margin must be positive")
-    if grid_size < 2:
-        raise ValueError("grid_size must be >= 2")
+    _check_count("grid_size", grid_size, 2)
     radius, bound = _radius_and_bound(p, radius, bound)
     top = radius - margin
     if not 0.0 < top < 1.0:
@@ -255,8 +253,7 @@ def boundary_reach(
     """
     if not 0.0 < r < 1.0:
         raise ValueError("r must lie in (0, 1)")
-    if samples < 64:
-        raise ValueError("samples must be >= 64")
+    _check_count("samples", samples, 64)
     if isinstance(map_spec, NamedMap):
         values = closed_form_eval(map_spec, circle_grid(r, samples))
     elif isinstance(map_spec, HarmonicMap):

@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .series import DEFAULT_ORDER, HarmonicMap, PowerSeries, _check_integer
+from .series import DEFAULT_ORDER, HarmonicMap, PowerSeries, _check_count
 
 
 def _koebe(z):
@@ -142,9 +142,7 @@ class NamedMap:
                 raise ValueError("k must lie in [0, 1]")
         elif self.k is not None:
             raise ValueError(f"{self.name} takes no k parameter")
-        _check_integer("order", self.order)
-        if self.order < 2:
-            raise ValueError("order must be >= 2")
+        _check_count("order", self.order, 2)
 
     @property
     def record(self) -> MapSpec:

@@ -106,7 +106,7 @@ def _pairing_params(spec: NamedMap, p: RadiusProblem) -> dict:
     return dict(map=spec.name, k=spec.k, theorem=p.variant, K=p.K, dilatation_k=p.k, n=p.n)
 
 
-def cmd_radius(args, parser) -> int:
+def cmd_radius(args) -> int:
     p = _problem_from_args(args)
     cert = solve_radius(p, args.tol)
     head = _header("radius", theorem=p.variant, K=p.K, k=p.k, n=p.n, tol=args.tol)
@@ -120,9 +120,9 @@ def cmd_radius(args, parser) -> int:
     return 0
 
 
-def cmd_table(args, parser) -> int:
+def cmd_table(args) -> int:
     if args.max_n < 1:
-        parser.error("--max-n must be >= 1")
+        raise ValueError("--max-n must be >= 1")
     rows = []
     for n in range(1, args.max_n + 1):
         cert = solve_radius(RadiusProblem("cor25_monomial", n=n), args.tol)
@@ -138,7 +138,7 @@ def cmd_table(args, parser) -> int:
     return 0
 
 
-def cmd_verify(args, parser) -> int:
+def cmd_verify(args) -> int:
     spec = _map_from_args(args)
     p = _problem_from_args(args)
     profile = profile_for_named_map(
@@ -163,7 +163,7 @@ def cmd_verify(args, parser) -> int:
     return 0 if profile.all_pass else 1
 
 
-def cmd_sharpness(args, parser) -> int:
+def cmd_sharpness(args) -> int:
     spec = _map_from_args(args)
     p = _problem_from_args(args)
     check_pairing(spec, p)
@@ -179,11 +179,11 @@ def cmd_sharpness(args, parser) -> int:
     return 0 if ok else 1
 
 
-def cmd_image_curve(args, parser) -> int:
+def cmd_image_curve(args) -> int:
     if not 0.0 < args.r < 1.0:
-        parser.error("--r must lie in (0, 1)")
+        raise ValueError("--r must lie in (0, 1)")
     if args.samples < 1:
-        parser.error("--samples must be >= 1")
+        raise ValueError("--samples must be >= 1")
     spec = NamedMap(args.map, k=args.k)
     values = np.atleast_1d(closed_form_eval(spec, circle_grid(args.r, args.samples)))
     max_mod = float(np.max(np.abs(values)))
@@ -197,9 +197,9 @@ def cmd_image_curve(args, parser) -> int:
     return 0
 
 
-def cmd_campaign(args, parser) -> int:
+def cmd_campaign(args) -> int:
     if args.cases < 1:
-        parser.error("--cases must be >= 1")
+        raise ValueError("--cases must be >= 1")
     map_names = tuple(name.strip() for name in args.maps.split(",") if name.strip())
     report = domination_campaign(
         seeds=range(args.cases), map_names=map_names, order=args.order
@@ -220,7 +220,7 @@ def cmd_campaign(args, parser) -> int:
     return 0 if report["all_pass"] else 1
 
 
-def cmd_selfcheck(args, parser) -> int:
+def cmd_selfcheck(args) -> int:
     results = run_selfcheck(quick=args.quick, perturb=args.perturb)
     passed = sum(1 for r in results if r.ok)
     lines = [_header("selfcheck", quick=args.quick, perturb=args.perturb)]
@@ -328,10 +328,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, parser)
+        return args.func(args)
     except ValueError as exc:
+        # every invalid input is a usage error: exit 2 after the usage line
         parser.error(str(exc))
-        return 2  # unreachable; parser.error exits
     except RuntimeError as exc:
         # solver certification failures: operational, not a usage error
         print(f"bohrmap: {exc}", file=sys.stderr)

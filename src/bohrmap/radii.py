@@ -26,6 +26,8 @@ from typing import Callable
 
 import numpy as np
 
+from .series import _check_count
+
 
 def _thm12_quasi(K: float) -> float:
     # (5K+1-sqrt(8K(3K+1)))/(K+1) rationalised, since
@@ -274,8 +276,7 @@ def m2_tail(r: float, M: int) -> float:
     """
     if not 0.0 <= r < 1.0:
         raise ValueError("r must lie in [0, 1)")
-    if M < 0:
-        raise ValueError("M must be >= 0")
+    _check_count("M", M, 0)
     if r == 0.0:
         return 0.0
     N = M + 1

@@ -261,9 +261,9 @@ def run_selfcheck(quick: bool = False, perturb: float = 0.0) -> list[CheckResult
 
     def solver_agreement():
         worst = 0.0
-        for variant in ("thm29_convex_direction", "thm211_convex"):
-            p = RadiusProblem(variant)
-            worst = max(worst, abs(solve_radius(p).root - closed_form_radius(p)))
+        for p in _root_defined_problems():
+            if p.record.closed_form:
+                worst = max(worst, abs(solve_radius(p).root - closed_form_radius(p)))
         return worst <= 1e-10, f"worst solver/algebraic gap {worst:.3e}"
 
     run("solver_closed_form_agreement", solver_agreement)

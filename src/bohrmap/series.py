@@ -26,10 +26,12 @@ DEFAULT_COMPOSE_ORDER = 200
 POWER_TABLE_CACHE = 8
 
 
-def _check_integer(name: str, value) -> None:
-    """Refuse an order or term count that is not an integer, such as 2.0."""
+def _check_count(name: str, value, minimum: int) -> None:
+    """Refuse a count that is not an integer, such as 2.0, or is below ``minimum``."""
     if not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}")
 
 
 class PowerSeries:
@@ -60,9 +62,7 @@ class PowerSeries:
 
     def truncated(self, order: int) -> "PowerSeries":
         """Copy with coefficients kept through ``order`` (zero-padded if higher)."""
-        _check_integer("order", order)
-        if order < 0:
-            raise ValueError("order must be >= 0")
+        _check_count("order", order, 0)
         n = order + 1
         if n <= len(self.coeffs):
             return PowerSeries(self.coeffs[:n])
@@ -156,9 +156,7 @@ def compose(f: PowerSeries, psi: PowerSeries, order: int | None = None) -> Power
         raise ValueError("inner series must satisfy psi(0) == 0")
     if order is None:
         order = min(f.order, psi.order)
-    _check_integer("order", order)
-    if order < 0:
-        raise ValueError("order must be >= 0")
+    _check_count("order", order, 0)
     return _composite(f, psi, order)
 
 
@@ -236,8 +234,7 @@ def eval_harmonic(f: HarmonicMap, z):
 def _check_circle(radius: float, samples: int) -> None:
     if not 0.0 <= radius < 1.0:
         raise ValueError("radius must lie in [0, 1)")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    _check_count("samples", samples, 1)
 
 
 def circle_grid(radius: float, samples: int) -> np.ndarray:

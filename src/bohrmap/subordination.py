@@ -16,7 +16,7 @@ absorbs.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .series import (
     DEFAULT_COMPOSE_ORDER,
     HarmonicMap,
     PowerSeries,
-    _check_integer,
+    _check_count,
     cauchy_product,
     compose,
     evaluate_on_circle,
@@ -65,46 +65,32 @@ def schwarz_sup(psi: PowerSeries) -> float:
     return float(np.max(np.abs(evaluate_on_circle(psi, SCHWARZ_RADIUS, SCHWARZ_GRID))))
 
 
-def _checked(fn: SchwarzFunction, internal: bool) -> SchwarzFunction:
-    sup = schwarz_sup(fn.series)
+def _checked(series: PowerSeries, description: str) -> SchwarzFunction:
+    """``series`` as a Schwarz function, once its sup on |z| = 0.999 is <= 1."""
+    sup = schwarz_sup(series)
     if sup > 1.0 + SCHWARZ_SUP_TOL:
-        msg = f"Schwarz check failed for {fn.description}: sup {sup!r} > 1"
-        if internal:
-            raise RuntimeError(msg)
-        raise ValueError(msg)
-    return fn
+        raise ValueError(f"Schwarz check failed for {description}: sup {sup!r} > 1")
+    return SchwarzFunction(series=series, description=description)
 
 
 def monomial_schwarz(c: complex, j: int) -> SchwarzFunction:
     """psi(z) = c z^j with |c| <= 1 and j >= 1."""
-    if j < 1:
-        raise ValueError("j must be >= 1")
+    _check_count("j", j, 1)
     c = complex(c)
     if abs(c) > 1.0:
         raise ValueError("|c| must be <= 1")
     coeffs = np.zeros(j + 1, dtype=np.complex128)
     coeffs[j] = c
-    fn = SchwarzFunction(
-        series=PowerSeries(coeffs),
-        description=f"monomial(c={c:.6g}, j={j})",
-    )
-    return _checked(fn, internal=False)
+    return _checked(PowerSeries(coeffs), f"monomial(c={c:.6g}, j={j})")
 
 
-def blaschke_schwarz(
-    zeros, rotation: float = 0.0, order: int = DEFAULT_COMPOSE_ORDER
-) -> SchwarzFunction:
-    """psi(z) = e^{i rotation} z prod_j (z - w_j)/(1 - conj(w_j) z).
+def _blaschke_product(zeros: list[complex], rotation: float, order: int) -> PowerSeries:
+    """e^{i rotation} z prod_j (z - w_j)/(1 - conj(w_j) z) through ``order``.
 
     Each factor expands to c_0 = -w and c_m = conj(w)^{m-1} (1 - |w|^2) for
-    m >= 1; factors are multiplied out and truncated at ``order``.  An empty
-    zero list gives the pure rotation.
+    m >= 1; factors are multiplied out and truncated at ``order``.
     """
-    zeros = [complex(w) for w in zeros]
-    if any(abs(w) >= 1.0 for w in zeros):
-        raise ValueError("Blaschke zeros must satisfy |w| < 1")
-    if order < max(2, len(zeros) + 1):
-        raise ValueError("order too small for the requested product")
+    _check_count("order", order, max(2, len(zeros) + 1))
     prefactor = np.zeros(order + 1, dtype=np.complex128)
     prefactor[1] = np.exp(1j * float(rotation))
     series = PowerSeries(prefactor)
@@ -114,11 +100,21 @@ def blaschke_schwarz(
         factor[0] = -w
         factor[1:] = np.conj(w) ** (m - 1) * (1.0 - abs(w) ** 2)
         series = cauchy_product(series, PowerSeries(factor))
-    fn = SchwarzFunction(
-        series=series,
-        description=f"blaschke(degree={len(zeros)}, rotation={float(rotation):.6g})",
-    )
-    return _checked(fn, internal=True)
+    return series
+
+
+def blaschke_schwarz(
+    zeros, rotation: float = 0.0, order: int = DEFAULT_COMPOSE_ORDER
+) -> SchwarzFunction:
+    """psi(z) = e^{i rotation} z prod_j (z - w_j)/(1 - conj(w_j) z).
+
+    An empty zero list gives the pure rotation.
+    """
+    zeros = [complex(w) for w in zeros]
+    if any(abs(w) >= 1.0 for w in zeros):
+        raise ValueError("Blaschke zeros must satisfy |w| < 1")
+    series = _blaschke_product(zeros, rotation, order)
+    return _checked(series, f"blaschke(degree={len(zeros)}, rotation={float(rotation):.6g})")
 
 
 def random_schwarz(
@@ -130,15 +126,16 @@ def random_schwarz(
     drawn in [0, 0.8]: keeping zeros away from the circle keeps the order-200
     truncation honest at the |z| = 0.999 sup check.
     """
-    if not 0 <= degree <= MAX_RANDOM_DEGREE:
+    _check_count("degree", degree, 0)
+    if degree > MAX_RANDOM_DEGREE:
         raise ValueError(f"degree must lie in [0, {MAX_RANDOM_DEGREE}]")
     rng = np.random.default_rng(seed)
     rotation = rng.uniform(0.0, 2.0 * np.pi)
     moduli = rng.uniform(0.0, MAX_BLASCHKE_MODULUS, degree)
     angles = rng.uniform(0.0, 2.0 * np.pi, degree)
-    zeros = moduli * np.exp(1j * angles)
-    fn = blaschke_schwarz(zeros, rotation, order)
-    return replace(fn, description=f"random(seed={seed}, degree={degree})")
+    zeros = [complex(w) for w in moduli * np.exp(1j * angles)]
+    series = _blaschke_product(zeros, rotation, order)
+    return _checked(series, f"random(seed={seed}, degree={degree})")
 
 
 def subordinate(f, psi: SchwarzFunction):
@@ -166,7 +163,7 @@ def check_domination(f: PowerSeries, psi: SchwarzFunction, M: int | None = None)
     """
     if M is None:
         M = min(f.order, DEFAULT_COMPOSE_ORDER)
-    _check_integer("M", M)
+    _check_count("M", M, 0)
     base = _base_sums(f, M)
     composed = _sums(np.abs(compose(f, psi.series, M).coeffs[1:]), DOMINATION_GRID)
     return min(b - c for b, c in zip(base, composed))

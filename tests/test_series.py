@@ -397,17 +397,49 @@ class TestCompositeReuse:
 
 
 
-# Each entry point that takes an order or term count, called with that count.
+# Each entry point that takes a count (an order, term count, sample count,
+# exponent or degree): the call with that count, a valid count, and the
+# count's name and minimum as its error message states them.
+KOEBE_60 = NamedMap("koebe", order=60)
 COUNT_ENTRY_POINTS = {
-    "compose": lambda n: compose(PowerSeries([0.0, 1.0, 2.0]), PowerSeries([0.0, 0.5]), n),
-    "check_domination": lambda n: bohrmap.check_domination(
-        make_map(NamedMap("koebe", order=60)).h, bohrmap.monomial_schwarz(0.5, 1), M=n
+    "compose": (
+        lambda n: compose(PowerSeries([0.0, 1.0, 2.0]), PowerSeries([0.0, 0.5]), n),
+        50, "order", 0,
     ),
-    "truncated": lambda n: PowerSeries([1.0, 2.0]).truncated(n),
-    "make_map": lambda n: make_map(NamedMap("koebe", order=n)),
-    "bohr_partial_sum": lambda n: bohrmap.bohr_partial_sum(
-        make_map(NamedMap("koebe", order=60)), 0.3, M=n
+    "check_domination": (
+        lambda n: bohrmap.check_domination(
+            make_map(KOEBE_60).h, bohrmap.monomial_schwarz(0.5, 1), M=n
+        ),
+        50, "M", 0,
     ),
+    "truncated": (lambda n: PowerSeries([1.0, 2.0]).truncated(n), 50, "order", 0),
+    "make_map": (lambda n: make_map(NamedMap("koebe", order=n)), 50, "order", 2),
+    "bohr_partial_sum": (
+        lambda n: bohrmap.bohr_partial_sum(make_map(KOEBE_60), 0.3, M=n), 50, "M", 0
+    ),
+    "BohrProfile": (
+        lambda n: bohrmap.BohrProfile("p", [0.1], [0.1], [0.0], 1.0, M=n), 50, "M", 0
+    ),
+    "m2_tail": (lambda n: bohrmap.m2_tail(0.5, n), 50, "M", 0),
+    # degree 0 is the pure rotation, exact at order 2
+    "random_schwarz.order": (lambda n: random_schwarz(3, 0, order=n), 50, "order", 2),
+    "random_schwarz.degree": (lambda n: random_schwarz(3, n, order=60), 2, "degree", 0),
+    # two zeros at the origin give z^3, exact from order 3 on
+    "blaschke_schwarz": (
+        lambda n: bohrmap.blaschke_schwarz([0.0, 0.0], 0.0, n), 50, "order", 3
+    ),
+    "monomial_schwarz": (lambda n: bohrmap.monomial_schwarz(0.5, n), 5, "j", 1),
+    "circle_grid": (lambda n: circle_grid(0.5, n), 50, "samples", 1),
+    "evaluate_on_circle": (
+        lambda n: evaluate_on_circle(PowerSeries([1.0, 2.0]), 0.5, n), 50, "samples", 1
+    ),
+    "verify_inequality": (
+        lambda n: bohrmap.verify_inequality(
+            make_map(KOEBE_60), bohrmap.RadiusProblem("thm22_bohr"), grid_size=n
+        ),
+        50, "grid_size", 2,
+    ),
+    "boundary_reach": (lambda n: bohrmap.boundary_reach(KOEBE_60, 0.3, n), 100, "samples", 64),
 }
 
 
@@ -415,10 +447,19 @@ COUNT_ENTRY_POINTS = {
 def test_non_integer_count_is_refused(entry):
     # the int call first fills any value-keyed cache that an equal float
     # would otherwise hit
-    call = COUNT_ENTRY_POINTS[entry]
-    call(50)
+    call, valid, _, _ = COUNT_ENTRY_POINTS[entry]
+    call(valid)
     with pytest.raises(ValueError, match="must be an integer"):
-        call(50.0)
+        call(float(valid))
+
+
+@pytest.mark.parametrize("entry", sorted(COUNT_ENTRY_POINTS))
+def test_count_minimum_is_accepted_and_one_below_refused(entry):
+    call, _, name, minimum = COUNT_ENTRY_POINTS[entry]
+    call(minimum)
+    with pytest.raises(ValueError, match=f"^{name} must be >= {minimum}$"):
+        call(minimum - 1)
+
 
 class TestHarmonicMap:
     def test_requires_matching_orders(self):

@@ -23,6 +23,7 @@ from bohrmap import (
     schwarz_sup,
     subordinate,
 )
+from bohrmap import subordination
 from bohrmap.bohr import _rounding_bound, _sums
 from bohrmap.subordination import DOMINATION_GRID
 from test_bohr import FRACTION_BITS, exact_sums
@@ -85,6 +86,22 @@ class TestSchwarzConstruction:
         assert schwarz_sup(PowerSeries([0.0, 1.2])) > 1.0
         with pytest.raises(ValueError):
             monomial_schwarz(1.2, 1)
+
+    def test_failed_check_is_a_value_error_naming_the_draw(self):
+        # at order 20 the truncated product overshoots the unit circle
+        failed = "^Schwarz check failed for "
+        with pytest.raises(ValueError, match=failed + r"random\(seed=1, degree=2\): sup"):
+            random_schwarz(1, 2, order=20)
+        with pytest.raises(ValueError, match=failed + r"blaschke\(degree=1, "):
+            blaschke_schwarz([0.99], 0.0, 20)
+
+    def test_each_draw_checks_its_sup_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            subordination, "schwarz_sup", lambda s: calls.append(s) or schwarz_sup(s)
+        )
+        psi = random_schwarz(5, 3)
+        assert calls == [psi.series]
 
 
 class TestSubordinate:
