@@ -14,20 +14,11 @@ import sys
 
 import numpy as np
 
-from .bohr import (
-    DEFAULT_GRID_SIZE,
-    DEFAULT_MARGIN,
-    check_pairing,
-    default_bound_inputs,
-    profile_for_named_map,
-    sharpness_scan,
-)
-from .catalog import NamedMap, closed_form_eval, make_map
+# Only what radius and table run is imported here; each other command
+# imports its layers itself, so a cold start loads no more than it needs.
 from .radii import RadiusProblem
-from .selfcheck import run_selfcheck
 from .series import DEFAULT_COMPOSE_ORDER, DEFAULT_ORDER, circle_grid
 from .solver import WIDTH_TOL, solve_radius
-from .subordination import domination_campaign
 
 
 def _fmt(x) -> str:
@@ -98,6 +89,8 @@ def _problem_from_args(args) -> RadiusProblem:
 
 
 def _map_from_args(args) -> NamedMap:
+    from .catalog import NamedMap
+
     return NamedMap(args.map, k=args.k, order=args.order)
 
 
@@ -139,6 +132,12 @@ def cmd_table(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .bohr import DEFAULT_GRID_SIZE, DEFAULT_MARGIN, profile_for_named_map
+
+    if args.margin is None:
+        args.margin = DEFAULT_MARGIN
+    if args.grid_size is None:
+        args.grid_size = DEFAULT_GRID_SIZE
     spec = _map_from_args(args)
     p = _problem_from_args(args)
     profile = profile_for_named_map(
@@ -164,6 +163,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sharpness(args) -> int:
+    from .bohr import check_pairing, default_bound_inputs, sharpness_scan
+    from .catalog import make_map
+
     spec = _map_from_args(args)
     p = _problem_from_args(args)
     check_pairing(spec, p)
@@ -180,6 +182,8 @@ def cmd_sharpness(args) -> int:
 
 
 def cmd_image_curve(args) -> int:
+    from .catalog import NamedMap, closed_form_eval
+
     if not 0.0 < args.r < 1.0:
         raise ValueError("--r must lie in (0, 1)")
     if args.samples < 1:
@@ -198,6 +202,8 @@ def cmd_image_curve(args) -> int:
 
 
 def cmd_campaign(args) -> int:
+    from .subordination import domination_campaign
+
     if args.cases < 1:
         raise ValueError("--cases must be >= 1")
     map_names = tuple(name.strip() for name in args.maps.split(",") if name.strip())
@@ -221,6 +227,8 @@ def cmd_campaign(args) -> int:
 
 
 def cmd_selfcheck(args) -> int:
+    from .selfcheck import run_selfcheck
+
     results = run_selfcheck(quick=args.quick, perturb=args.perturb)
     passed = sum(1 for r in results if r.ok)
     lines = [_header("selfcheck", quick=args.quick, perturb=args.perturb)]
@@ -281,8 +289,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_problem_flags(verify)
     verify.add_argument("--bound", type=float, default=None,
                         help="override the inequality bound")
-    verify.add_argument("--margin", type=float, default=DEFAULT_MARGIN)
-    verify.add_argument("--grid-size", type=int, default=DEFAULT_GRID_SIZE, dest="grid_size")
+    # None until cmd_verify fills in bohr's defaults, so parsing loads no bohr
+    verify.add_argument("--margin", type=float, default=None)
+    verify.add_argument("--grid-size", type=int, default=None, dest="grid_size")
     _add_common(verify, default_format="csv")
     verify.set_defaults(func=cmd_verify)
 

@@ -126,6 +126,7 @@ def random_schwarz(
     drawn in [0, 0.8]: keeping zeros away from the circle keeps the order-200
     truncation honest at the |z| = 0.999 sup check.
     """
+    _check_count("seed", seed, 0)
     _check_count("degree", degree, 0)
     if degree > MAX_RANDOM_DEGREE:
         raise ValueError(f"degree must lie in [0, {MAX_RANDOM_DEGREE}]")

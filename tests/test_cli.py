@@ -1,9 +1,14 @@
 """End-to-end CLI behavior via main(argv)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import bohrmap
 from bohrmap.cli import main
 
 
@@ -278,3 +283,59 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+
+# Imports the package, runs one command with its output dropped, and reports
+# which modules are loaded afterwards.
+FOOTPRINT = """
+import contextlib, io, json, sys
+import bohrmap
+if sys.argv[1:]:
+    from bohrmap.cli import main
+    with contextlib.redirect_stdout(io.StringIO()):
+        main(sys.argv[1:])
+print(json.dumps({
+    "layers": sorted(n[8:] for n in sys.modules if n.startswith("bohrmap.")),
+    "numpy": "numpy" in sys.modules,
+    "numpy.fft": "numpy.fft" in sys.modules,
+    "dir": set(bohrmap.__all__) <= set(dir(bohrmap)),
+}))
+"""
+
+RADIUS_LAYERS = ["cli", "radii", "series", "solver"]
+MAP_LAYERS = sorted(RADIUS_LAYERS + ["bohr", "catalog"])
+# Each command's arguments and every bohrmap submodule it leaves loaded.
+FOOTPRINTS = {
+    "radius": (["--theorem", "cor25", "--n", "2"], RADIUS_LAYERS),
+    "table": (["--max-n", "2"], RADIUS_LAYERS),
+    "verify": (["--map", "half_plane_L", "--theorem", "thm211"], MAP_LAYERS),
+    "sharpness": (["--map", "half_plane_L", "--theorem", "thm211"], MAP_LAYERS),
+    "image-curve": (
+        ["--map", "koebe", "--r", "0.5", "--samples", "8"], sorted(RADIUS_LAYERS + ["catalog"])
+    ),
+    "subordination-campaign": (["--cases", "2"], sorted(MAP_LAYERS + ["subordination"])),
+    "selfcheck": (
+        ["--quick"], sorted(MAP_LAYERS + ["dilatation", "selfcheck", "subordination"])
+    ),
+}
+
+
+def footprint(*argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(bohrmap.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", FOOTPRINT, *argv], env=env, capture_output=True, text=True,
+        check=True,
+    )
+    return json.loads(proc.stdout)
+
+
+class TestImportFootprint:
+    """Each command loads only the layers it runs; no timing is measured."""
+
+    def test_import_loads_numpy_and_no_layer(self):
+        assert footprint() == {"layers": [], "numpy": True, "numpy.fft": False, "dir": True}
+
+    @pytest.mark.parametrize("command", sorted(FOOTPRINTS))
+    def test_command_loads_only_its_layers(self, command):
+        argv, layers = FOOTPRINTS[command]
+        assert footprint(command, *argv)["layers"] == layers

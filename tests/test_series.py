@@ -424,6 +424,7 @@ COUNT_ENTRY_POINTS = {
     # degree 0 is the pure rotation, exact at order 2
     "random_schwarz.order": (lambda n: random_schwarz(3, 0, order=n), 50, "order", 2),
     "random_schwarz.degree": (lambda n: random_schwarz(3, n, order=60), 2, "degree", 0),
+    "random_schwarz.seed": (lambda n: random_schwarz(n, 2, order=60), 3, "seed", 0),
     # two zeros at the origin give z^3, exact from order 3 on
     "blaschke_schwarz": (
         lambda n: bohrmap.blaschke_schwarz([0.0, 0.0], 0.0, n), 50, "order", 3

@@ -4,6 +4,7 @@ Every record of ``VARIANT_TABLE`` and ``MAP_TABLE`` is checked here, so a
 new theorem or map is covered without editing this file.
 """
 
+import importlib
 import itertools
 import types
 
@@ -101,8 +102,16 @@ def test_map_witnesses_are_real_variants_with_presets(record):
 
 
 def test_all_lists_exactly_the_public_names():
+    # names load on first access, so resolve them all before reading vars()
+    for name, source in bohrmap._SOURCE.items():
+        module = importlib.import_module(f"bohrmap.{source}")
+        value = getattr(bohrmap, name)
+        assert value is getattr(module, name)
+        if isinstance(value, (type, types.FunctionType)):
+            assert value.__module__ == module.__name__
     public = {
         name for name, value in vars(bohrmap).items()
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert sorted(bohrmap.__all__) == sorted(public | {"__version__"})
+    assert set(bohrmap.__all__) <= set(dir(bohrmap))
