@@ -38,8 +38,6 @@ def closed_forms():
     for variant, kwargs, label in rows:
         p = RadiusProblem(variant, **kwargs)
         r = closed_form_radius(p)
-        if r is None:
-            r = solve_radius(p).root
         print(f"  {variant:<26} {r:.15f}   {label}")
     print()
 

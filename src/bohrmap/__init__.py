@@ -48,7 +48,7 @@ _EXPORTS = {
     ),
     "subordination": (
         "DOMINATION_TOL", "MAX_BLASCHKE_MODULUS", "MAX_RANDOM_DEGREE",
-        "SchwarzFunction", "blaschke_schwarz", "check_domination",
+        "SchwarzFunction", "check_domination",
         "check_harmonic_subordination_bound", "domination_campaign",
         "monomial_schwarz", "random_schwarz", "schwarz_sup", "subordinate",
     ),

@@ -170,7 +170,4 @@ def closed_form_eval(spec: NamedMap, z):
         raise ValueError("evaluation points must be finite")
     if np.any(np.abs(zs) >= 1.0):
         raise ValueError("closed forms are only valid for |z| < 1")
-    out = spec.record.closed_form(zs, spec.k)
-    if zs.ndim == 0:
-        return complex(out)
-    return out
+    return spec.record.closed_form(zs, spec.k)

@@ -76,7 +76,7 @@ def _render(args, head, payload, fields=(), csv=None, plain=None) -> None:
 
 
 def _emit(text: str, out: str | None) -> None:
-    text = text if text.endswith("\n") else text + "\n"
+    text += "\n"
     if out:
         with open(out, "w") as fh:
             fh.write(text)
@@ -189,7 +189,7 @@ def cmd_image_curve(args) -> int:
     if args.samples < 1:
         raise ValueError("--samples must be >= 1")
     spec = NamedMap(args.map, k=args.k)
-    values = np.atleast_1d(closed_form_eval(spec, circle_grid(args.r, args.samples)))
+    values = closed_form_eval(spec, circle_grid(args.r, args.samples))
     max_mod = float(np.max(np.abs(values)))
     lines = [
         f"# map={spec.name} r={_fmt(args.r)} samples={args.samples} "

@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .series import _check_count
+from .series import _check_count, _is_integer
 
 
 def _thm12_quasi(K: float) -> float:
@@ -163,7 +163,7 @@ _PARAM_RULES = (
     ("K", lambda K: K >= 1.0, "K must be >= 1"),
     ("K", math.isfinite, "K must be finite"),
     ("k", lambda k: 0.0 < k <= 1.0, "k must lie in (0, 1]"),
-    ("n", lambda n: isinstance(n, (int, np.integer)) and n >= 1, "n must be an integer >= 1"),
+    ("n", lambda n: _is_integer(n) and n >= 1, "n must be an integer >= 1"),
     ("a", lambda a: -1.0 < a < 1.0, "a must lie in (-1, 1)"),
 )
 
@@ -234,15 +234,18 @@ class RadiusProblem:
         return 1.0
 
 
-def closed_form_radius(p: RadiusProblem) -> float | None:
-    """Algebraic radius where one exists, else None.
+def closed_form_radius(p: RadiusProblem) -> float:
+    """Algebraic radius of a variant that has one.
 
     The root-defined cubic/quadratic variants with solvable equations
     (thm29, thm211) report their algebraic roots too, so the solver can be
-    cross-checked against them.
+    cross-checked against them.  Variants whose radius is only a root
+    raise, directing the caller to ``solve_radius``.
     """
     closed_form = p.record.closed_form
-    return None if closed_form is None else closed_form(p)
+    if closed_form is None:
+        raise ValueError(f"{p.variant} has a root-defined radius; use solve_radius")
+    return closed_form(p)
 
 
 def majorant_value(p: RadiusProblem, r):
@@ -277,8 +280,6 @@ def m2_tail(r: float, M: int) -> float:
     if not 0.0 <= r < 1.0:
         raise ValueError("r must lie in [0, 1)")
     _check_count("M", M, 0)
-    if r == 0.0:
-        return 0.0
     N = M + 1
     poly = N**2 - (2.0 * N**2 - 2.0 * N - 1.0) * r + (N - 1) ** 2 * r**2
     return float(r**N * poly / (1.0 - r) ** 3)

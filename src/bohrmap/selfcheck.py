@@ -322,12 +322,9 @@ def run_selfcheck(quick: bool = False, perturb: float = 0.0) -> list[CheckResult
 
     def figure_max_mod():
         gaps = []
-        for name, p in (
-            ("f0_sharp", RadiusProblem("cor25_monomial", n=1)),
-            ("harmonic_koebe_K", RadiusProblem("thm210_convex_direction_s0")),
-        ):
+        for spec, p in _extremal_pairs(order)[:2]:
             r0 = solve_radius(p).root
-            max_mod, _ = boundary_reach(NamedMap(name), r0, 4096)
+            max_mod, _ = boundary_reach(spec, r0, 4096)
             gaps.append(abs(max_mod - 1.0))
         ok = max(gaps) <= 1e-9
         return ok, f"max modulus gaps at computed radii: {gaps[0]:.2e}, {gaps[1]:.2e}"

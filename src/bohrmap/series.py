@@ -26,9 +26,14 @@ DEFAULT_COMPOSE_ORDER = 200
 POWER_TABLE_CACHE = 8
 
 
+def _is_integer(value) -> bool:
+    """A Python or numpy integer; bool is an int subclass but counts nothing."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _check_count(name: str, value, minimum: int) -> None:
-    """Refuse a count that is not an integer, such as 2.0, or is below ``minimum``."""
-    if not isinstance(value, (int, np.integer)):
+    """Refuse a count that is not an integer, such as 2.0 or True, or is below ``minimum``."""
+    if not _is_integer(value):
         raise ValueError(f"{name} must be an integer")
     if value < minimum:
         raise ValueError(f"{name} must be >= {minimum}")
@@ -91,9 +96,10 @@ class PowerSeries:
 def evaluate(series: PowerSeries, z):
     """Evaluate the truncated series at z by Horner's scheme.
 
-    z may be a scalar or an array; the return type matches.  Non-finite
-    evaluation points are rejected rather than propagated, so a NaN result
-    always means an overflow in the accumulation itself.
+    z may be a scalar or an array; a scalar z gives a numpy.complex128,
+    which is a complex.  Non-finite evaluation points are rejected rather
+    than propagated, so a NaN result always means an overflow in the
+    accumulation itself.
     """
     zs = np.asarray(z, dtype=np.complex128)
     if not np.all(np.isfinite(zs)):
@@ -102,9 +108,8 @@ def evaluate(series: PowerSeries, z):
     acc = np.full(zs.shape, c[-1], dtype=np.complex128)
     for m in range(len(c) - 2, -1, -1):
         acc = acc * zs + c[m]
-    if zs.ndim == 0:
-        return complex(acc)
-    return acc
+    # a constant series leaves a 0-d array for scalar z; [()] unwraps it
+    return acc[()]
 
 
 def cauchy_product(f: PowerSeries, g: PowerSeries) -> PowerSeries:
@@ -132,13 +137,13 @@ def term_differentiate(f: PowerSeries) -> PowerSeries:
     return PowerSeries(c[1:] * np.arange(1, len(c)))
 
 
-def compose(f: PowerSeries, psi: PowerSeries, order: int | None = None) -> PowerSeries:
+def compose(f: PowerSeries, psi: PowerSeries, order: int) -> PowerSeries:
     """Coefficients of f(psi(z)) through ``order``.
 
     Requires psi(0) == 0 exactly.  Then psi^m has a zero of order m, so the
     composite's coefficient at any power p depends only on coefficients of f
-    and psi up to p; with the default order min(f.order, psi.order) the
-    result is truncation-exact.
+    and psi up to p; through order min(f.order, psi.order) the result is
+    truncation-exact.
 
     Baby-step/giant-step evaluation (Paterson and Stockmeyer 1973; Brent and
     Kung 1978 for power series).  With n = order + 1, L <= n terms of f kept
@@ -154,8 +159,6 @@ def compose(f: PowerSeries, psi: PowerSeries, order: int | None = None) -> Power
     """
     if psi.coeffs[0] != 0:
         raise ValueError("inner series must satisfy psi(0) == 0")
-    if order is None:
-        order = min(f.order, psi.order)
     _check_count("order", order, 0)
     return _composite(f, psi, order)
 

@@ -162,14 +162,17 @@ def solve_radius(p: RadiusProblem, tol: float = WIDTH_TOL) -> RootCertificate:
     return replace(_bisection_certificate(p, tol), problem=p)
 
 
-@functools.lru_cache(maxsize=CERTIFICATE_CACHE, typed=True)
+@functools.lru_cache(maxsize=CERTIFICATE_CACHE)
 def _bisection_certificate(p: RadiusProblem, tol: float) -> RootCertificate:
-    """Monotone scan and certified bisection of a root-defined problem."""
+    """Monotone scan and certified bisection of a root-defined problem.
+
+    The certificate names no problem; ``solve_radius`` names the caller's.
+    """
     grid = np.linspace(0.0, 0.99, MONOTONE_GRID + 2)[1:-1]
     values = majorant_value(p, grid)
     monotone = bool(np.all(np.diff(values) > 0.0))
     cert = bracket_root(lambda r: majorant_value(p, r), *DEFAULT_BRACKET, tol=tol)
-    return replace(cert, problem=p, monotone_checked=monotone)
+    return replace(cert, monotone_checked=monotone)
 
 
 def min_rule_radius(p: RadiusProblem) -> float:

@@ -3,9 +3,9 @@
 A Schwarz function is an analytic self-map of the disk fixing the origin.
 Composition with one produces a subordinate map, and subordinates inherit
 coefficient-majorant domination at r <= 1/3.  This module builds checkable
-Schwarz functions (rotations, monomials, rotated Blaschke-type products,
-and seeded random draws of the latter), composes catalog maps with them,
-and measures the domination margin empirically.
+Schwarz functions (monomials, and seeded random draws of rotated
+Blaschke-type products), composes catalog maps with them, and measures
+the domination margin empirically.
 
 Compositions work at order 200.  At the radii involved (r <= 1/3 for the
 domination statements, with Blaschke zeros drawn with modulus <= 0.8) the
@@ -101,20 +101,6 @@ def _blaschke_product(zeros: list[complex], rotation: float, order: int) -> Powe
         factor[1:] = np.conj(w) ** (m - 1) * (1.0 - abs(w) ** 2)
         series = cauchy_product(series, PowerSeries(factor))
     return series
-
-
-def blaschke_schwarz(
-    zeros, rotation: float = 0.0, order: int = DEFAULT_COMPOSE_ORDER
-) -> SchwarzFunction:
-    """psi(z) = e^{i rotation} z prod_j (z - w_j)/(1 - conj(w_j) z).
-
-    An empty zero list gives the pure rotation.
-    """
-    zeros = [complex(w) for w in zeros]
-    if any(abs(w) >= 1.0 for w in zeros):
-        raise ValueError("Blaschke zeros must satisfy |w| < 1")
-    series = _blaschke_product(zeros, rotation, order)
-    return _checked(series, f"blaschke(degree={len(zeros)}, rotation={float(rotation):.6g})")
 
 
 def random_schwarz(

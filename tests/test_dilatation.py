@@ -61,6 +61,7 @@ BAD_PARAMS = [
     ("k", np.nan, "k must lie in (0, 1]"),
     ("n", 0, "n must be an integer >= 1"),
     ("n", 1.5, "n must be an integer >= 1"),
+    ("n", True, "n must be an integer >= 1"),
     ("a", 1.0, "a must lie in (-1, 1)"),
     ("a", -1.0, "a must lie in (-1, 1)"),
     ("a", np.nan, "a must lie in (-1, 1)"),

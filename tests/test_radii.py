@@ -138,14 +138,6 @@ class TestClosedFormRadii:
             (3 - math.sqrt(5)) / 2, rel=1e-15
         )
 
-    def test_root_only_variants_return_none(self):
-        assert closed_form_radius(RadiusProblem("thm24_monomial", k=0.5, n=1)) is None
-        assert closed_form_radius(RadiusProblem("cor25_monomial", n=2)) is None
-        assert closed_form_radius(RadiusProblem("thm27_mobius")) is None
-        assert (
-            closed_form_radius(RadiusProblem("thm210_convex_direction_s0")) is None
-        )
-
 
 class TestBounds:
     def test_distance_variants_require_distance(self):

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bohrmap
-from bohrmap import series
+from bohrmap import series, subordination
 from bohrmap import (
     PowerSeries,
     cauchy_product,
@@ -162,7 +162,7 @@ class TestCompose:
     def test_requires_zero_constant_term(self):
         f = PowerSeries([0.0, 1.0])
         with pytest.raises(ValueError):
-            compose(f, PowerSeries([0.5, 1.0]))
+            compose(f, PowerSeries([0.5, 1.0]), 1)
 
     def test_koebe_of_z_squared_doubles_indices(self):
         m = np.arange(0.0, 41.0)
@@ -182,11 +182,6 @@ class TestCompose:
         inner = evaluate(psi, z)
         # |inner| < 0.12 so the order-120 truncation error is ~1e-100
         assert evaluate(comp, z) == pytest.approx(evaluate(f, inner), abs=1e-12)
-
-    def test_default_order_is_min(self):
-        f = PowerSeries(np.ones(10))
-        psi = PowerSeries([0.0, 1.0]).truncated(5)
-        assert compose(f, psi).order == 5
 
 
 def horner_compose(f, psi, order):
@@ -260,7 +255,8 @@ class TestComposeAgainstHorner:
         f, psi = random_pair(rng, 60, 45)
         cut = compose(f.truncated(order), psi.truncated(order), order)
         assert compose(f, psi, order) == cut
-        assert compose(f, psi) == compose(f.truncated(psi.order), psi)
+        top = min(f.order, psi.order)  # f's coefficients past psi's order do not matter
+        assert compose(f, psi, top) == compose(f.truncated(psi.order), psi, top)
 
 
 
@@ -338,7 +334,7 @@ class TestPowerTableReuse:
         assert hash(PowerSeries([complex(-0.0, -0.0)])) == hash(PowerSeries([0.0]))
         f = PowerSeries([1.0, 2.0, 3.0])
         series._composite.cache_clear()
-        assert compose(f, neg) is compose(f, pos)
+        assert compose(f, neg, 2) is compose(f, pos, 2)
         info = series._composite.cache_info()
         assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
 
@@ -425,9 +421,10 @@ COUNT_ENTRY_POINTS = {
     "random_schwarz.order": (lambda n: random_schwarz(3, 0, order=n), 50, "order", 2),
     "random_schwarz.degree": (lambda n: random_schwarz(3, n, order=60), 2, "degree", 0),
     "random_schwarz.seed": (lambda n: random_schwarz(n, 2, order=60), 3, "seed", 0),
-    # two zeros at the origin give z^3, exact from order 3 on
+    # the product random_schwarz draws: two zeros at the origin give z^3,
+    # exact from order 3 on
     "blaschke_schwarz": (
-        lambda n: bohrmap.blaschke_schwarz([0.0, 0.0], 0.0, n), 50, "order", 3
+        lambda n: subordination._blaschke_product([0.0, 0.0], 0.0, n), 50, "order", 3
     ),
     "monomial_schwarz": (lambda n: bohrmap.monomial_schwarz(0.5, n), 5, "j", 1),
     "circle_grid": (lambda n: circle_grid(0.5, n), 50, "samples", 1),
@@ -450,8 +447,9 @@ def test_non_integer_count_is_refused(entry):
     # would otherwise hit
     call, valid, _, _ = COUNT_ENTRY_POINTS[entry]
     call(valid)
-    with pytest.raises(ValueError, match="must be an integer"):
-        call(float(valid))
+    for bad in (float(valid), True):
+        with pytest.raises(ValueError, match="must be an integer"):
+            call(bad)
 
 
 @pytest.mark.parametrize("entry", sorted(COUNT_ENTRY_POINTS))

@@ -89,6 +89,24 @@ def test_closed_form_lies_in_unit_interval(record):
         assert 0.0 < closed_form_radius(p) < 1.0
 
 
+def test_each_radius_route_answers_exactly_when_the_record_has_it():
+    # the route a record lacks raises, naming the route it has
+    for record in VARIANT_TABLE:
+        for p in problems(record):
+            if record.closed_form:
+                assert isinstance(closed_form_radius(p), float)
+            else:
+                with pytest.raises(ValueError, match=f"^{p.variant} has a root-defined "
+                                   "radius; use solve_radius$"):
+                    closed_form_radius(p)
+            if record.majorant:
+                assert isinstance(majorant_value(p, 0.5), float)
+            else:
+                with pytest.raises(ValueError, match=f"^{p.variant} has a closed-form "
+                                   "radius; use closed_form_radius$"):
+                    majorant_value(p, 0.5)
+
+
 @by_name(MAP_TABLE)
 def test_map_witnesses_are_real_variants_with_presets(record):
     assert record.witness_for
