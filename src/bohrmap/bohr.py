@@ -17,23 +17,25 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .catalog import NamedMap, closed_form_eval, make_map
-from .radii import RadiusProblem, m2_tail
+from .radii import RadiusProblem, _m2_tails, m2_tail
 from .series import HarmonicMap, _check_count, circle_grid, evaluate_on_circle
 from .solver import solve_radius
 
 DEFAULT_MARGIN = 1e-3
 DEFAULT_GRID_SIZE = 256
 DEFAULT_TAIL_CONSTANT = 2.0
-# From this many radii on, _sums runs Horner on a numpy vector of radii;
-# below it, on one Python float per radius.  Each form is the faster one
-# where it runs (2-vCPU Xeon, Python 3.11, numpy 2.4): one radius of 2,000
-# terms, as in bohr_partial_sum, takes 0.13 ms as floats and 6.5 ms as a
-# vector; the domination grid's 16 radii of 200 terms 0.15 and 0.33 ms;
-# a 256-point verify grid of 2,000 terms 23 and 3.5 ms.  The two cross
-# between 32 and 40 radii at 2,000 terms.  Both forms perform the same
-# IEEE binary64 operations, acc = (acc + c) * r from m = M down to 1, in
-# the same order, so every sum is the same bit for bit.
-HORNER_VECTOR_RADII = 32
+# From this many chains on, _horner and _stationary_chain run Horner on a
+# numpy vector of radii; below it, on one Python float per chain.  A sum
+# runs one chain per radius, or two in the sandwich of _sums.  Each form is
+# the faster one where it runs (2-vCPU Xeon, Python 3.11, numpy 2.4): a
+# 57-term head, as on a verify grid, takes 0.003 ms as floats and 0.11 ms
+# as a vector for one chain, 0.74 and 0.08 ms for 512 chains; the full
+# 2,000-term chain 0.08 and 3.5 ms for one chain, 26 and 2.2 ms for 512.
+# Whatever the chain length, the two cross between 32 and 44 chains, near
+# 40 over repeated runs.  Both forms perform the same IEEE binary64
+# operations, acc = (acc + c) * r, in the same order, so every sum is the
+# same bit for bit.
+HORNER_VECTOR_RADII = 40
 _UNIT_ROUNDOFF = 2.0**-53
 _SMALLEST_SUBNORMAL = 2.0**-1074
 
@@ -125,26 +127,144 @@ def _checked_moduli(f: HarmonicMap, M: int | None, tail_constant: float) -> np.n
 def _sums(moduli: np.ndarray, rs) -> list[float]:
     """sum_{m=1..M} moduli[m-1] r^m for each r in rs, as floats, M = len(moduli).
 
-    Horner from m = M down, acc = (acc + moduli[m-1]) * r: 2M roundings,
-    so for nonnegative moduli and r >= 0 each sum lies within
+    The value is that of the full Horner chain from m = M down, acc_{M+1} =
+    0 and acc_m = fl(fl(acc_{m+1} + c_m) * r) with c_m = moduli[m-1]: 2M
+    roundings, so for nonnegative moduli and r >= 0 each sum lies within
     ``_rounding_bound`` of the exact one.  Whatever the number of radii, a
     sum equals bohr_partial_sum's bit for bit (see HORNER_VECTOR_RADII).
+
+    Past a few dozen terms at r <= 1/2 the rest of the chain cannot change
+    a bit, so the chain is run only as deep as needed, and only where that
+    is proven.  The proofs rest on one fact: each step x -> fl(fl(x + c) *
+    r) is nondecreasing in x, since rounding to nearest is monotone and c,
+    r >= 0 (the moduli are nonnegative, zeros being +0.0 as |a| + |b|
+    gives them; then the step depends on x only through its value, so +0.0
+    and -0.0 lead to the same bits).
+
+    Sandwich.  The head H(x) runs the first m0 steps of the chain (m = m0
+    down to 1) from seed acc_{m0+1} = x.  Rounding is fl(y) <= y(1 + u) +
+    2^-1075 for y >= 0 (relative error u = 2^-53 unless the result
+    underflows, and then an absolute 2^-1075), so acc_m <= rho (acc_{m+1}
+    + c_m) + 2^-1075 with rho = r (1 + u)^2, and by induction from
+    acc_{M+1} = 0, 0 <= acc_{m0+1} <= (cmax rho + 2^-1075) / (1 - rho),
+    cmax the largest modulus.  The seed U below exceeds that bound: it is
+    computed at r_max with rho_hat = fl(r (1 + 2^-50)) + 2^-1074 >= r (1 +
+    u)^2, a factor 2 that outweighs its four roundings and slack 2^-1070
+    that covers 2^-1075 and any underflow in them.  Monotonicity gives
+    H(0) <= acc_1 <= H(U), so where H(0) == H(U) the full chain ends on
+    that float too; any radius where they differ runs the full chain.  The
+    chain from 0 is the full chain's own head, and the chain from U stays
+    below U, since rho (U + cmax) + 2^-1075 < U, so requiring U + cmax <=
+    2^1000 keeps it finite.  m0 is a guess: a poor one costs time, never
+    bits.
+
+    Constant tail.  When c_m = c for every m > t, the sandwich does not
+    close, because the rounded step has several fixed points near c r /
+    (1 - r).  The chain from 0 over the constant part is nondecreasing (x_1
+    = F(0) >= 0 = x_0, and F keeps order), so it reaches a first x with
+    F(x) == x and stays there.  Running it until a step changes no
+    radius, for at most M - t steps, gives acc_{t+1} exactly; the head of t
+    steps then finishes the chain.
     """
+    rs = np.asarray(rs, dtype=np.float64)
+    M = len(moduli)
+    if M == 0 or rs.size == 0:
+        return [0.0] * rs.size
+    r_max = float(rs.max())
+    cmax = float(moduli.max())
+    if not (math.isfinite(cmax) and r_max < 1.0):
+        return _full_chain(moduli, rs)
+    m0 = _head_length(moduli, r_max, cmax)
+    if m0 == M:
+        return _full_chain(moduli, rs)
+    last = float(moduli[-1])
+    varying = np.flatnonzero(moduli != last)
+    t = int(varying[-1]) + 1 if varying.size else 0
+    if t <= m0:
+        return _horner(moduli[:t], rs, _stationary_chain(last, M - t, rs))
+    rho = r_max * (1.0 + 2.0**-50) + _SMALLEST_SUBNORMAL
+    U = 2.0 * (cmax * rho + 2.0**-1070) / (1.0 - rho) if rho < 1.0 else math.inf
+    if not U + cmax <= 2.0**1000:
+        return _full_chain(moduli, rs)
+    n = rs.size
+    both = _horner(moduli[:m0], np.concatenate((rs, rs)), [0.0] * n + [U] * n)
+    out, upper = both[:n], both[n:]
+    if out != upper:
+        open_ = [i for i in range(n) if out[i] != upper[i]]
+        for i, s in zip(open_, _full_chain(moduli, rs[open_])):
+            out[i] = s
+    return out
+
+
+# The head is sized so that, to first order, the two sandwich chains end
+# 2^-64 of the sum apart, well inside half an ulp.
+_HEAD_MARGIN = 64 * math.log(2.0)
+
+
+def _head_length(moduli: np.ndarray, r_max: float, cmax: float) -> int:
+    """Terms m0 after which the chain's rest should not reach the sum's bits at r_max.
+
+    The seed bound is about cmax r / (1 - r), its effect on the sum about
+    that times r^m0, and the sum at least c_j r^j for the first nonzero
+    modulus c_j; m0 makes the effect e^-_HEAD_MARGIN of that, capped at M.
+    """
+    M = len(moduli)
+    j = int(np.argmax(moduli > 0.0))
+    lead = float(moduli[j])
+    if lead == 0.0 or r_max == 0.0:
+        return min(M, 1)
+    need = math.log(cmax) - math.log(lead) - math.log1p(-r_max) + _HEAD_MARGIN
+    return min(M, j + math.ceil(need / -math.log(r_max)))
+
+
+def _full_chain(moduli: np.ndarray, rs: np.ndarray) -> list[float]:
+    """The whole Horner chain from 0 for each radius."""
+    return _horner(moduli, rs, [0.0] * len(rs))
+
+
+def _horner(moduli: np.ndarray, rs: np.ndarray, seeds) -> list[float]:
+    """acc = seed, then acc = (acc + c) * r for c = moduli[-1] down to moduli[0], per radius."""
     coeffs = moduli[::-1].tolist()
-    if len(rs) < HORNER_VECTOR_RADII:
-        out = []
-        for r in rs:
-            r, acc = float(r), 0.0
-            for c in coeffs:
-                acc = (acc + c) * r
-            out.append(acc)
-        return out
-    r = np.asarray(rs, dtype=np.float64)
-    acc = np.zeros_like(r)
-    for c in coeffs:
-        acc += c
-        acc *= r
-    return acc.tolist()
+    if len(rs) >= HORNER_VECTOR_RADII:
+        acc = np.array(seeds, dtype=np.float64)
+        for c in coeffs:
+            acc += c
+            acc *= rs
+        return acc.tolist()
+    out = []
+    for r, acc in zip(rs.tolist(), seeds):
+        for c in coeffs:
+            acc = (acc + c) * r
+        out.append(acc)
+    return out
+
+
+def _stationary_chain(c: float, steps: int, rs: np.ndarray) -> list[float]:
+    """acc = (acc + c) * r from 0, ``steps`` times or until no radius changes.
+
+    The vector form compares every fourth step, a comparison costing about
+    a step: the chain is nondecreasing, so four steps that end where they
+    began changed nothing.
+    """
+    if len(rs) >= HORNER_VECTOR_RADII:
+        acc = np.zeros_like(rs)
+        for done in range(0, steps, 4):
+            prev = acc.copy()
+            for _ in range(min(4, steps - done)):
+                acc += c
+                acc *= rs
+            if (acc == prev).all():
+                break
+        return acc.tolist()
+    out = []
+    for r in rs.tolist():
+        acc = 0.0
+        for _ in range(steps):
+            prev, acc = acc, (acc + c) * r
+            if acc == prev:
+                break
+        out.append(acc)
+    return out
 
 
 def _rounding_bound(sums, M: int):
@@ -211,7 +331,8 @@ def verify_inequality(
         # C * m2_tail is 0 exactly, since m2_tail is finite and >= 0 on [0, 1)
         tails = np.zeros(grid_size)
     else:
-        tails = [tail_constant * m2_tail(float(r), len(moduli)) for r in grid]
+        # the grid lies in [0, 1) and M is checked, so m2_tail's checks are skipped
+        tails = [tail_constant * t for t in _m2_tails(grid.tolist(), len(moduli))]
     return BohrProfile(
         map_id=map_id,
         r_grid=grid,

@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .series import _check_count, _is_integer
+from .series import _check_count, _is_bool, _is_integer
 
 
 def _thm12_quasi(K: float) -> float:
@@ -158,13 +158,14 @@ VARIANTS = tuple(VARIANT)
 THEOREM_ALIASES = {v.alias: v.name for v in VARIANT_TABLE if v.alias}
 
 # (parameter, test, message), checked in this order; K must also be finite so
-# that no closed form sees an infinity.
+# that no closed form sees an infinity.  True would pass the range tests of
+# K, k and a, so a bool is refused with their words, as counts refuse it.
 _PARAM_RULES = (
-    ("K", lambda K: K >= 1.0, "K must be >= 1"),
+    ("K", lambda K: not _is_bool(K) and K >= 1.0, "K must be >= 1"),
     ("K", math.isfinite, "K must be finite"),
-    ("k", lambda k: 0.0 < k <= 1.0, "k must lie in (0, 1]"),
+    ("k", lambda k: not _is_bool(k) and 0.0 < k <= 1.0, "k must lie in (0, 1]"),
     ("n", lambda n: _is_integer(n) and n >= 1, "n must be an integer >= 1"),
-    ("a", lambda a: -1.0 < a < 1.0, "a must lie in (-1, 1)"),
+    ("a", lambda a: not _is_bool(a) and -1.0 < a < 1.0, "a must lie in (-1, 1)"),
 )
 
 
@@ -280,6 +281,15 @@ def m2_tail(r: float, M: int) -> float:
     if not 0.0 <= r < 1.0:
         raise ValueError("r must lie in [0, 1)")
     _check_count("M", M, 0)
+    (tail,) = _m2_tails([r], M)
+    return tail
+
+
+def _m2_tails(rs: list[float], M: int) -> list[float]:
+    """m2_tail(r, M) for each Python float r, with r and M already checked.
+
+    Python floats keep libm's pow, so each value is m2_tail's bit for bit.
+    """
     N = M + 1
-    poly = N**2 - (2.0 * N**2 - 2.0 * N - 1.0) * r + (N - 1) ** 2 * r**2
-    return float(r**N * poly / (1.0 - r) ** 3)
+    N2, lin, sq = N**2, 2.0 * N**2 - 2.0 * N - 1.0, (N - 1) ** 2
+    return [float(r**N * (N2 - lin * r + sq * r**2) / (1.0 - r) ** 3) for r in rs]

@@ -26,9 +26,14 @@ DEFAULT_COMPOSE_ORDER = 200
 POWER_TABLE_CACHE = 8
 
 
+def _is_bool(value) -> bool:
+    """A Python or numpy bool: it passes numeric range tests, but is no count or parameter."""
+    return isinstance(value, (bool, np.bool_))
+
+
 def _is_integer(value) -> bool:
     """A Python or numpy integer; bool is an int subclass but counts nothing."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    return isinstance(value, (int, np.integer)) and not _is_bool(value)
 
 
 def _check_count(name: str, value, minimum: int) -> None:

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bohrmap import (
     MAP_TABLE,
@@ -19,6 +21,7 @@ from bohrmap import (
     boundary_reach,
     check_pairing,
     default_bound_inputs,
+    domination_campaign,
     g_from_monomial,
     make_map,
     profile_for_named_map,
@@ -26,7 +29,7 @@ from bohrmap import (
     solve_radius,
     verify_inequality,
 )
-from bohrmap.bohr import HORNER_VECTOR_RADII, _rounding_bound
+from bohrmap.bohr import HORNER_VECTOR_RADII, _rounding_bound, _sums
 from bohrmap.catalog import MAP
 from bohrmap.radii import VARIANT
 
@@ -42,10 +45,10 @@ def identity_map(order=50):
     return HarmonicMap(h, g)
 
 
-def witness_pairing(record):
-    """A catalog map and its first witness variant, at values its pins allow."""
+def witness_pairing(record, variant=None):
+    """A catalog map and a witness variant (its first by default), at values its pins allow."""
     values = {"K": 3.0, "k": 0.5, "n": 1, **dict(record.pins)}
-    variant = VARIANT[record.witness_for[0]]
+    variant = VARIANT[variant or record.witness_for[0]]
     spec = NamedMap(record.name, k=0.5 if record.parametric else None)
     return spec, RadiusProblem(variant.name, **{p: values[p] for p in variant.params})
 
@@ -206,11 +209,18 @@ class TestVerifyInequality:
         for r, s, t in zip(prof.r_grid, prof.partial_sums, prof.tail_bounds):
             assert (s, t) == bohr_partial_sum(f, float(r), M=M, tail_constant=C)
 
-    @pytest.mark.parametrize("grid_size", [HORNER_VECTOR_RADII - 1, HORNER_VECTOR_RADII])
-    def test_both_horner_forms_equal_bohr_partial_sum(self, grid_size):
-        # below the cut-over the grid runs on Python floats, from it on on a
-        # numpy vector; the single-radius call always runs on a Python float
-        f = make_map(NamedMap("f0_sharp", order=500))
+    @pytest.mark.parametrize(
+        "name, grid_size",
+        [("f0_sharp", HORNER_VECTOR_RADII // 2 - 1), ("f0_sharp", HORNER_VECTOR_RADII // 2),
+         ("half_plane_analytic", HORNER_VECTOR_RADII - 1),
+         ("half_plane_analytic", HORNER_VECTOR_RADII)],
+    )
+    def test_both_horner_forms_equal_bohr_partial_sum(self, name, grid_size):
+        # f0's sums run two chains per radius, the constant moduli of the
+        # half-plane map one: below the cut-over the chains run on Python
+        # floats, from it on on a numpy vector; the single-radius call
+        # always runs on Python floats
+        f = make_map(NamedMap(name, order=500))
         prof = verify_inequality(f, RadiusProblem("thm22_bohr"), grid_size=grid_size)
         assert prof.M == 500
         for r, s, t in zip(prof.r_grid, prof.partial_sums, prof.tail_bounds):
@@ -254,6 +264,113 @@ class TestVerifyInequality:
         )
         assert prof.bound == 0.25
         assert prof.all_pass
+
+
+def full_horner(moduli, rs):
+    """The whole chain acc = (acc + c) * r from m = M down to 1, on Python floats."""
+    coeffs = moduli[::-1].tolist()
+    out = []
+    for r in np.asarray(rs, dtype=np.float64).tolist():
+        acc = 0.0
+        for c in coeffs:
+            acc = (acc + c) * r
+        out.append(acc)
+    return out
+
+
+RADII_COUNTS = sorted({1, 2, 31, 32, 256, HORNER_VECTOR_RADII // 2 - 1, HORNER_VECTOR_RADII // 2,
+                       HORNER_VECTOR_RADII - 1, HORNER_VECTOR_RADII})
+
+
+@st.composite
+def kernel_inputs(draw):
+    """Nonnegative moduli of one of five shapes and a sorted grid of radii in [0, top]."""
+    M = draw(st.one_of(st.integers(0, 2), st.integers(3, 400)))
+    shape = draw(st.sampled_from(["constant", "constant tail", "power", "wide", "sparse"]))
+    scale = 10.0 ** draw(st.integers(-300, 300))
+    n = draw(st.sampled_from(RADII_COUNTS))
+    top = draw(st.sampled_from([0.0, 1e-300, 0.05, 1.0 / 3.0, 0.38, 0.9, 1.0 - 1e-6]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if shape == "constant":
+        moduli = np.full(M, draw(st.sampled_from([0.0, 1.0, 1.5, scale])))
+    elif shape == "constant tail":
+        moduli = rng.uniform(0.0, scale, M)
+        moduli[rng.integers(0, M + 1):] = draw(st.sampled_from([0.0, 1.0, scale]))
+    elif shape == "power":
+        # growing like m^p up to scale at m = M
+        p = rng.uniform(0.0, 3.0)
+        moduli = (np.arange(1.0, M + 1.0) / max(M, 1)) ** p * scale
+    elif shape == "wide":
+        moduli = 10.0 ** rng.uniform(-300.0, 300.0, M)
+    else:
+        moduli = np.where(rng.random(M) < 0.2, rng.uniform(0.0, scale, M), 0.0)
+    rs = np.sort(rng.uniform(0.0, top, n))
+    rs[0] = draw(st.sampled_from([0.0, rs[0]]))
+    rs[-1] = top
+    return moduli, rs
+
+
+class TestSumKernel:
+    @given(kernel_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_full_horner_chain(self, case):
+        # bit for bit, signed zeros included, and with no numpy warning
+        moduli, rs = case
+        assert [s.hex() for s in _sums(moduli, rs)] == [s.hex() for s in full_horner(moduli, rs)]
+
+    @pytest.mark.parametrize("record", MAP_TABLE, ids=lambda r: r.name)
+    def test_catalog_moduli_equal_the_full_horner_chain(self, record):
+        spec, _ = witness_pairing(record)
+        moduli = make_map(spec).coefficient_moduli()[1:]
+        for n in (1, 16, 256):
+            rs = np.linspace(0.0, 0.38, n + 1)[1:]
+            assert _sums(moduli, rs) == full_horner(moduli, rs)
+
+    def test_any_head_length_gives_the_full_chain(self, monkeypatch):
+        # radii the sandwich leaves open run the full chain, and a closed one
+        # is right however short the head: a seed below the bound would
+        # close some radius on a wrong float at some head length
+        import bohrmap.bohr
+
+        full_chain, opened = bohrmap.bohr._full_chain, []
+
+        def spy(moduli, rs):
+            opened.append(len(rs))
+            return full_chain(moduli, rs)
+
+        monkeypatch.setattr(bohrmap.bohr, "_full_chain", spy)
+        moduli = make_map(NamedMap("f0_sharp", order=2000)).coefficient_moduli()[1:]
+        rs = np.linspace(0.0, 0.34, 256)
+        want = full_horner(moduli, rs)
+        for bits in range(65):
+            monkeypatch.setattr(bohrmap.bohr, "_HEAD_MARGIN", bits * math.log(2.0))
+            assert _sums(moduli, rs) == want
+            assert _sums(moduli, rs[::16]) == want[::16]
+        assert 0 < min(opened) and max(opened) < 256 and len(opened) > 2
+
+    def test_catalog_and_campaign_sums_stop_early(self, monkeypatch):
+        # every documented pairing's order-2000 verify grid and sharpness
+        # point, and the order-200 sums of a campaign, end on a short head
+        import bohrmap.bohr
+
+        horner, heads = bohrmap.bohr._horner, []
+
+        def full_chain(moduli, rs):
+            raise AssertionError(f"the full chain of {len(moduli)} terms ran")
+
+        def spy(moduli, rs, seeds):
+            heads.append(len(moduli))
+            return horner(moduli, rs, seeds)
+
+        monkeypatch.setattr(bohrmap.bohr, "_full_chain", full_chain)
+        monkeypatch.setattr(bohrmap.bohr, "_horner", spy)
+        for record in MAP_TABLE:
+            for variant in record.witness_for:
+                spec, p = witness_pairing(record, variant)
+                assert profile_for_named_map(spec, p).M == 2000
+                sharpness_scan(make_map(spec), p, 0.01, **default_bound_inputs(spec, p))
+        assert domination_campaign(seeds=range(16))["all_pass"]
+        assert max(heads) <= 100
 
 
 class TestRoundingBound:

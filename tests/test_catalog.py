@@ -45,10 +45,10 @@ class TestNamedMap:
         NamedMap("q_k", k=0.25)
 
     def test_k_range(self):
-        with pytest.raises(ValueError):
-            NamedMap("p_k", k=-0.1)
-        with pytest.raises(ValueError):
-            NamedMap("p_k", k=1.5)
+        # False and True would pass 0 <= k <= 1
+        for bad in (-0.1, 1.5, False, True, np.False_):
+            with pytest.raises(ValueError, match=r"k must lie in \[0, 1\]"):
+                NamedMap("p_k", k=bad)
 
     def test_all_aliases_resolve_to_catalog_names(self):
         for alias, target in ALIASES.items():

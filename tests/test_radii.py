@@ -46,14 +46,15 @@ class TestResolution:
 
 class TestProblemValidation:
     def test_k_range(self):
-        with pytest.raises(ValueError):
-            RadiusProblem("thm24_monomial", k=0.0, n=1)
-        with pytest.raises(ValueError):
-            RadiusProblem("thm24_monomial", k=1.2, n=1)
+        # True would pass 0 < k <= 1
+        for bad in (0.0, 1.2, True, np.True_):
+            with pytest.raises(ValueError, match=r"k must lie in \(0, 1\]"):
+                RadiusProblem("thm24_monomial", k=bad, n=1)
         RadiusProblem("thm24_monomial", k=1.0, n=1)
 
     def test_K_range(self):
-        for bad in (0.5, math.nan, math.inf):
+        # True would pass K >= 1, and certify K = true
+        for bad in (0.5, math.nan, math.inf, True, np.True_):
             with pytest.raises(ValueError):
                 RadiusProblem("thm12_quasi", K=bad)
         RadiusProblem("thm12_quasi", K=1.0)
