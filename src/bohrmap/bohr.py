@@ -121,7 +121,9 @@ def _checked_moduli(f: HarmonicMap, M: int | None, tail_constant: float) -> np.n
         raise ValueError("M must lie in [0, truncation order]")
     if tail_constant < 0.0:
         raise ValueError("tail_constant must be >= 0")
-    return f.coefficient_moduli()[1 : M + 1]
+    # |a_m| + |b_m| may overflow to inf; _horner then refuses the sum
+    with np.errstate(over="ignore"):
+        return f.coefficient_moduli()[1 : M + 1]
 
 
 def _sums(moduli: np.ndarray, rs) -> list[float]:
@@ -223,19 +225,28 @@ def _full_chain(moduli: np.ndarray, rs: np.ndarray) -> list[float]:
 
 
 def _horner(moduli: np.ndarray, rs: np.ndarray, seeds) -> list[float]:
-    """acc = seed, then acc = (acc + c) * r for c = moduli[-1] down to moduli[0], per radius."""
+    """acc = seed, then acc = (acc + c) * r for c = moduli[-1] down to moduli[0], per radius.
+
+    Every sum ``_sums`` returns leaves through here, so this is where a sum
+    that overflowed, in either form, is refused.
+    """
     coeffs = moduli[::-1].tolist()
     if len(rs) >= HORNER_VECTOR_RADII:
         acc = np.array(seeds, dtype=np.float64)
-        for c in coeffs:
-            acc += c
-            acc *= rs
-        return acc.tolist()
-    out = []
-    for r, acc in zip(rs.tolist(), seeds):
-        for c in coeffs:
-            acc = (acc + c) * r
-        out.append(acc)
+        # the float form overflows to inf silently; the check below speaks for both
+        with np.errstate(over="ignore", invalid="ignore"):
+            for c in coeffs:
+                acc += c
+                acc *= rs
+        out = acc.tolist()
+    else:
+        out = []
+        for r, acc in zip(rs.tolist(), seeds):
+            for c in coeffs:
+                acc = (acc + c) * r
+            out.append(acc)
+    if not all(map(math.isfinite, out)):
+        raise ValueError("Bohr sum overflows binary64: the coefficient moduli are too large")
     return out
 
 
@@ -248,13 +259,15 @@ def _stationary_chain(c: float, steps: int, rs: np.ndarray) -> list[float]:
     """
     if len(rs) >= HORNER_VECTOR_RADII:
         acc = np.zeros_like(rs)
-        for done in range(0, steps, 4):
-            prev = acc.copy()
-            for _ in range(min(4, steps - done)):
-                acc += c
-                acc *= rs
-            if (acc == prev).all():
-                break
+        # an overflow here reaches _horner as an infinite seed, and is refused there
+        with np.errstate(over="ignore"):
+            for done in range(0, steps, 4):
+                prev = acc.copy()
+                for _ in range(min(4, steps - done)):
+                    acc += c
+                    acc *= rs
+                if (acc == prev).all():
+                    break
         return acc.tolist()
     out = []
     for r in rs.tolist():

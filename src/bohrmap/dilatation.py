@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .radii import _check_param
-from .series import HarmonicMap, PowerSeries, evaluate, term_differentiate
+from .series import HarmonicMap, PowerSeries, _evaluate_rows, term_differentiate
 
 MOBIUS_VARIANTS = ("plus", "minus")
 
@@ -87,17 +87,39 @@ def g_from_mobius(h: PowerSeries, w: MobiusDilatation) -> HarmonicMap:
     with b_1 = a a_1 either way.  The recurrence is solved forward.  No
     univalence claim is made for the result; this builds the candidate map
     that solves the coefficient system.
+
+    The loop runs on Python floats, real and imaginary parts apart, and
+    gives the bits of the same recurrence on numpy complex scalars, signed
+    zeros included.  For numpy a float x times a complex y is the complex
+    product of x + 0j and y, so each real product also adds a 0 * (the
+    other part), which can only change the sign of a zero; and a division
+    by m is complex division by m + 0j, which multiplies by 1.0/m (Smith's
+    algorithm with a zero ratio).  The loop spells out both.
     """
     _require_normalized(h)
-    a = w.a
+    a = float(w.a)
     ac = h.coeffs
-    order = h.order
-    b = np.zeros(order + 1, dtype=np.complex128)
-    if order >= 1:
-        b[1] = a * ac[1]
     sign = 1.0 if w.variant == "plus" else -1.0
-    for m in range(2, order + 1):
-        b[m] = (a * m * ac[m] + sign * (m - 1) * (ac[m - 1] - a * b[m - 1])) / m
+    b1 = a * ac[1]
+    re, im = ac.real.tolist(), ac.imag.tolist()
+    br, bi = float(b1.real), float(b1.imag)
+    b_re, b_im = [0.0, br], [0.0, bi]
+    for m in range(2, len(ac)):
+        t, s, inv = a * m, sign * (m - 1), 1.0 / m
+        xr, xi = re[m], im[m]
+        # d = a_{m-1} - a b_{m-1}
+        dr = re[m - 1] - (a * br - 0.0 * bi)
+        di = im[m - 1] - (a * bi + 0.0 * br)
+        # n = t a_m + s d
+        nr = (t * xr - 0.0 * xi) + (s * dr - 0.0 * di)
+        ni = (t * xi + 0.0 * xr) + (s * di + 0.0 * dr)
+        br = (nr + ni * 0.0) * inv
+        bi = (ni - nr * 0.0) * inv
+        b_re.append(br)
+        b_im.append(bi)
+    b = np.empty(len(ac), dtype=np.complex128)
+    b.real = b_re
+    b.imag = b_im
     return HarmonicMap(h, PowerSeries(b))
 
 
@@ -106,12 +128,14 @@ def dilatation_residual(f: HarmonicMap, w, points) -> float:
 
     w is any callable accepting complex arrays.  For a co-analytic part
     produced by the constructors above the residual is limited only by the
-    truncation tail at |z| < 1 and by rounding.
+    truncation tail at |z| < 1 and by rounding.  g' and h' run as the two
+    rows of one Horner chain.
     """
     pts = np.atleast_1d(np.asarray(points, dtype=np.complex128))
-    hp = term_differentiate(f.h)
-    gp = term_differentiate(f.g)
-    res = evaluate(gp, pts) - np.asarray(w(pts), dtype=np.complex128) * evaluate(hp, pts)
+    gp, hp = _evaluate_rows(
+        (term_differentiate(f.g).coeffs, term_differentiate(f.h).coeffs), pts
+    )
+    res = gp - np.asarray(w(pts), dtype=np.complex128) * hp
     return float(np.max(np.abs(res)))
 
 

@@ -106,15 +106,54 @@ def evaluate(series: PowerSeries, z):
     than propagated, so a NaN result always means an overflow in the
     accumulation itself.
     """
+    return _evaluate_rows((series.coeffs,), z)[0]
+
+
+# Coefficient values in one block of ``_evaluate_rows``'s step table: 64 KB,
+# or one term when the accumulator alone is larger.  With 2 rows at 64
+# points (a dilatation residual) a block is 32 terms; 64 and 256 KB blocks
+# ran alike there, 16 KB and 1 MB ones 25-75% slower (2-vCPU Xeon, numpy
+# 2.4).
+_ROWS_TABLE_VALUES = 1 << 12
+
+
+def _evaluate_rows(rows, z) -> np.ndarray:
+    """Horner for several coefficient rows of one length at the same points z.
+
+    The result has shape (len(rows),) + shape of z, row i being ``evaluate``
+    of rows[i] bit for bit: every value takes the steps acc = fl(fl(acc * z)
+    + c) from acc = c_M down to c_0, as one row alone would.  All rows share
+    one flat accumulator of R * P values (R rows, P points), so each step
+    is two numpy calls whatever R is.  The coefficients a step adds come
+    from a table of R * P columns built for a block of terms at a time,
+    which bounds its memory.
+    """
     zs = np.asarray(z, dtype=np.complex128)
     if not np.all(np.isfinite(zs)):
         raise ValueError("evaluation points must be finite")
-    c = series.coeffs
-    acc = np.full(zs.shape, c[-1], dtype=np.complex128)
-    for m in range(len(c) - 2, -1, -1):
-        acc = acc * zs + c[m]
-    # a constant series leaves a 0-d array for scalar z; [()] unwraps it
-    return acc[()]
+    c = np.asarray(rows, dtype=np.complex128)
+    R, L = c.shape
+    P = zs.size
+    if R * P == 1:
+        # numpy 2.4 multiplies a one-element complex array in place with
+        # another loop, which rounds like Python's complex and differs from
+        # the vector loop in the last bit of about two products in five
+        # (AVX-512 host); a 0-d product takes the vector loop's bits
+        acc, z0 = c[0, -1], zs.reshape(())
+        for coeff in c[0, -2::-1]:
+            acc = acc * z0 + coeff
+        return np.reshape(acc, (1,) + zs.shape)
+    zt = np.tile(zs.reshape(-1), R)
+    acc = np.repeat(c[:, -1], P)
+    block = max(1, _ROWS_TABLE_VALUES // max(1, acc.size))
+    for top in range(L - 1, 0, -block):
+        # terms top - 1 down to lo, one row of the table each
+        lo = max(top - block, 0)
+        table = np.repeat(c[:, lo:top][:, ::-1].T, P, axis=1)
+        for step in table:
+            acc *= zt
+            acc += step
+    return acc.reshape((R,) + zs.shape)
 
 
 def cauchy_product(f: PowerSeries, g: PowerSeries) -> PowerSeries:
@@ -235,8 +274,12 @@ class HarmonicMap:
 
 
 def eval_harmonic(f: HarmonicMap, z):
-    """f(z) = h(z) + conj(g(z)), scalar or vectorized like ``evaluate``."""
-    return evaluate(f.h, z) + np.conj(evaluate(f.g, z))
+    """f(z) = h(z) + conj(g(z)), scalar or vectorized like ``evaluate``.
+
+    h and g run as the two rows of one Horner chain.
+    """
+    h, g = _evaluate_rows((f.h.coeffs, f.g.coeffs), z)
+    return h + np.conj(g)
 
 
 def _check_circle(radius: float, samples: int) -> None:

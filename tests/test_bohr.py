@@ -373,6 +373,36 @@ class TestSumKernel:
         assert max(heads) <= 100
 
 
+class TestOverflowIsRefused:
+    """A sum past the largest double is one ValueError in either Horner form, never a warning."""
+
+    # at r = 0.3 the Horner chain passes 1.8e308 on its second step
+    BIG = HarmonicMap(PowerSeries([0.0, 1e308, 1.5e308, 1e308]), PowerSeries([0.0] * 4))
+
+    @pytest.mark.parametrize("grid_size", [8, 256])
+    def test_verify_inequality(self, grid_size):
+        # 8 radii run the float form, 256 the numpy vector form
+        assert 8 < HORNER_VECTOR_RADII <= 256
+        with pytest.raises(ValueError, match="overflows"):
+            verify_inequality(self.BIG, RadiusProblem("thm11"), radius=0.4, bound=1.0,
+                              tail_constant=0.0, grid_size=grid_size)
+
+    def test_bohr_partial_sum(self):
+        with pytest.raises(ValueError, match="overflows"):
+            bohr_partial_sum(self.BIG, 0.3)
+        assert math.isfinite(bohr_partial_sum(self.BIG, 0.2)[0])
+
+    @pytest.mark.parametrize("n", [8, 256])
+    def test_constant_tail_and_overflowing_moduli(self, n):
+        # the stationary chain of a constant tail, and |a_m| + |b_m| = inf
+        with pytest.raises(ValueError, match="overflows"):
+            _sums(np.full(50, 1e308), np.linspace(0.0, 0.9, n))
+        huge = PowerSeries([0.0, 1e308, 1.0])
+        with pytest.raises(ValueError, match="overflows"):
+            verify_inequality(HarmonicMap(huge, huge), RadiusProblem("thm11"), radius=0.4,
+                              bound=1.0, tail_constant=0.0, grid_size=n)
+
+
 class TestRoundingBound:
     @pytest.mark.parametrize("record", MAP_TABLE, ids=lambda r: r.name)
     def test_kernel_within_bound_of_exact_sum(self, record):

@@ -18,6 +18,7 @@ from bohrmap import (
     NamedMap,
     term_differentiate,
 )
+from test_series import assert_same_bits, horner_one_row
 
 
 def divide_series(numer, denom, order):
@@ -238,6 +239,117 @@ class TestMobiusConstruction:
         for variant in ("plus", "minus"):
             f = g_from_mobius(h, MobiusDilatation(0.25, variant))
             assert f.g.coeffs[1] == pytest.approx(0.25)
+
+
+def mobius_numpy_scalar_loop(h, a, variant):
+    # reference recurrence on numpy complex scalars, one coefficient at a time
+    ac = h.coeffs
+    b = np.zeros(len(ac), dtype=np.complex128)
+    b[1] = a * ac[1]
+    sign = 1.0 if variant == "plus" else -1.0
+    for m in range(2, len(ac)):
+        b[m] = (a * m * ac[m] + sign * (m - 1) * (ac[m - 1] - a * b[m - 1])) / m
+    return b
+
+
+def residual_two_calls(f, w, points):
+    # reference residual: one Horner loop for h' and one for g'
+    pts = np.atleast_1d(np.asarray(points, dtype=np.complex128))
+    hp = horner_one_row(term_differentiate(f.h).coeffs, pts)
+    gp = horner_one_row(term_differentiate(f.g).coeffs, pts)
+    return float(np.max(np.abs(gp - np.asarray(w(pts), dtype=np.complex128) * hp)))
+
+
+def normalized_random_h(rng, order):
+    c = rng.standard_normal(order + 1) + 1j * rng.standard_normal(order + 1)
+    c[0], c[1] = 0.0, 1.0
+    return PowerSeries(c)
+
+
+MOBIUS_A = [0.0, -0.0, 0.3, -0.7, 0.95, -0.999, 1e-300]
+
+
+class TestBitsAgainstFrozenLoops:
+    """The float recurrence and the shared Horner chain keep every bit."""
+
+    @pytest.mark.parametrize("variant", ["plus", "minus"])
+    def test_mobius_complex_random_h_at_order_2000(self, variant):
+        rng = np.random.default_rng(2000)
+        h = normalized_random_h(rng, 2000)
+        for a in MOBIUS_A + list(rng.uniform(-1.0, 1.0, 4)):
+            got = g_from_mobius(h, MobiusDilatation(a, variant)).g.coeffs
+            assert_same_bits(got, mobius_numpy_scalar_loop(h, a, variant))
+
+    @pytest.mark.parametrize("variant", ["plus", "minus"])
+    @pytest.mark.parametrize("name", ["koebe_analytic", "half_plane_analytic"])
+    def test_mobius_real_h_signed_zeros(self, name, variant):
+        # real coefficients leave every b_m with a zero imaginary part,
+        # whose sign the numpy scalars fix through 0 * (other part) terms
+        h = make_map(NamedMap(name, order=300)).h
+        for a in MOBIUS_A:
+            got = g_from_mobius(h, MobiusDilatation(a, variant)).g.coeffs
+            assert_same_bits(got, mobius_numpy_scalar_loop(h, a, variant))
+
+    @pytest.mark.parametrize("variant", ["plus", "minus"])
+    @pytest.mark.parametrize("imag", [0.0, -0.0])
+    def test_mobius_real_random_h(self, variant, imag):
+        # real parts of either sign against imaginary zeros of one sign
+        rng = np.random.default_rng(7)
+        c = rng.standard_normal(400).astype(np.complex128)
+        c.imag = imag
+        c[0], c[1] = 0.0, complex(1.0, imag)
+        h = PowerSeries(c)
+        for a in MOBIUS_A + list(rng.uniform(-1.0, 1.0, 4)):
+            got = g_from_mobius(h, MobiusDilatation(a, variant)).g.coeffs
+            assert_same_bits(got, mobius_numpy_scalar_loop(h, a, variant))
+
+    @pytest.mark.parametrize("variant", ["plus", "minus"])
+    def test_mobius_zero_coefficients(self, variant):
+        c = np.zeros(40, dtype=np.complex128)
+        c[1], c[3], c[4], c[7] = 1.0, complex(-0.0, -2.0), complex(-3.0, -0.0), -0.0
+        h = PowerSeries(c)
+        for a in MOBIUS_A + [0]:
+            got = g_from_mobius(h, MobiusDilatation(a, variant)).g.coeffs
+            assert_same_bits(got, mobius_numpy_scalar_loop(h, a, variant))
+
+    def test_mobius_sparse_signed_parts(self):
+        # parts drawn from signed zeros and small integers, so that products
+        # and sums come out zero in every combination of signs
+        rng = np.random.default_rng(11)
+        parts = np.array([0.0, -0.0, 1.0, -1.0, 2.0])
+        for _ in range(400):
+            c = rng.choice(parts, 30) + 1j * rng.choice(parts, 30)
+            c[0], c[1] = 0.0, 1.0
+            h = PowerSeries(c)
+            for a in (0.0, -0.0, 0.5, -0.5):
+                for variant in ("plus", "minus"):
+                    got = g_from_mobius(h, MobiusDilatation(a, variant)).g.coeffs
+                    assert_same_bits(got, mobius_numpy_scalar_loop(h, a, variant))
+
+    def test_mobius_order_one(self):
+        h = PowerSeries([0.0, 1.0])
+        got = g_from_mobius(h, MobiusDilatation(-0.5)).g.coeffs
+        assert_same_bits(got, mobius_numpy_scalar_loop(h, -0.5, "plus"))
+
+    @pytest.mark.parametrize("points", [1, 2, 3, 64, 130])
+    def test_residual_matches_two_calls(self, points):
+        rng = np.random.default_rng(points)
+        pts = circle_grid(0.5, points)
+        for variant in ("plus", "minus"):
+            w = MobiusDilatation(float(rng.uniform(-0.9, 0.9)), variant)
+            f = g_from_mobius(normalized_random_h(rng, 2000), w)
+            assert dilatation_residual(f, w, pts) == residual_two_calls(f, w, pts)
+        f = g_from_monomial(make_map(NamedMap("koebe_analytic", order=500)).h,
+                            MonomialDilatation(0.5, 1.0, 2))
+        w = MonomialDilatation(0.5, 1.0, 2)
+        assert dilatation_residual(f, w, pts) == residual_two_calls(f, w, pts)
+
+    def test_residual_at_a_scalar_point(self):
+        f = g_from_mobius(make_map(NamedMap("koebe_analytic", order=200)).h,
+                          MobiusDilatation(0.4))
+        w = MobiusDilatation(0.4)
+        for z in (0.3, 0.1 + 0.45j):
+            assert dilatation_residual(f, w, z) == residual_two_calls(f, w, z)
 
 
 class TestDilatationResidual:

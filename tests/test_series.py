@@ -101,6 +101,94 @@ class TestEvaluate:
             evaluate(f, np.nan)
 
 
+def horner_one_row(coeffs, z):
+    # reference Horner loop: one series at a time, two numpy calls a term
+    zs = np.asarray(z, dtype=np.complex128)
+    acc = np.full(zs.shape, coeffs[-1], dtype=np.complex128)
+    for m in range(len(coeffs) - 2, -1, -1):
+        acc = acc * zs + coeffs[m]
+    return acc[()]
+
+
+def assert_same_bits(got, want):
+    # array_equal, and also the raw bytes, so that signed zeros count
+    assert type(got) is type(want)
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert got.tobytes() == want.tobytes()
+
+
+def random_coeffs(rng, length):
+    return rng.standard_normal(length) + 1j * rng.standard_normal(length)
+
+
+def random_points(rng, shape):
+    return 0.95 * (rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape)) / np.sqrt(2)
+
+
+POINT_SHAPES = [(), (1,), (3, 5)] + [(n,) for n in range(2, 131)]
+# the one-row loop takes a few ms a shape at order 2000
+LONG_POINT_SHAPES = [(), (1,), (2,), (3,), (64,), (130,), (3, 5)]
+
+
+def point_shapes(length):
+    return POINT_SHAPES if length <= 64 else LONG_POINT_SHAPES
+
+
+class TestRowsKernelBits:
+    """Several rows in one chain give each row's one-at-a-time bits."""
+
+    @pytest.mark.parametrize("length", [1, 2, 3, 64, 2001])
+    def test_evaluate_matches_the_one_row_loop(self, length):
+        rng = np.random.default_rng(length)
+        f = PowerSeries(random_coeffs(rng, length))
+        for shape in point_shapes(length):
+            z = random_points(rng, shape)
+            assert_same_bits(evaluate(f, z), horner_one_row(f.coeffs, z))
+
+    def test_python_scalar_points(self):
+        f = PowerSeries(random_coeffs(np.random.default_rng(1), 300))
+        for z in (0.3, 0.2 - 0.7j, -0.5j, 0):
+            assert_same_bits(evaluate(f, z), horner_one_row(f.coeffs, z))
+
+    @pytest.mark.parametrize("length", [1, 2, 64, 2001])
+    def test_eval_harmonic_matches_two_calls(self, length):
+        rng = np.random.default_rng(10 + length)
+        g = random_coeffs(rng, length)
+        g[0] = 0.0
+        f = HarmonicMap(PowerSeries(random_coeffs(rng, length)), PowerSeries(g))
+        for shape in point_shapes(length):
+            z = random_points(rng, shape)
+            want = horner_one_row(f.h.coeffs, z) + np.conj(horner_one_row(f.g.coeffs, z))
+            assert_same_bits(eval_harmonic(f, z), want)
+
+    @pytest.mark.parametrize("table_values", [1, 2, 7, 39, 195, 4096])
+    def test_any_block_size_gives_the_same_bits(self, monkeypatch, table_values):
+        # blocks of one term, of a few, of all 130 steps, and at one point
+        # (3 values) blocks of 13 and 65 steps that split the 130 evenly
+        monkeypatch.setattr(series, "_ROWS_TABLE_VALUES", table_values)
+        rng = np.random.default_rng(table_values)
+        rows = [random_coeffs(rng, 131) for _ in range(3)]
+        for shape in [(), (1,), (2,), (65,), (3, 5)]:
+            z = random_points(rng, shape)
+            got = series._evaluate_rows(rows, z)
+            assert got.shape == (3,) + shape
+            for row, values in zip(rows, got):
+                assert_same_bits(values[()], horner_one_row(row, z))
+
+    def test_signed_zero_coefficients(self):
+        c = np.array([-0.0, complex(0.0, -0.0), complex(-0.0, -0.0), 0.0], dtype=np.complex128)
+        f = PowerSeries(c)
+        for z in (0.0, -0.0, complex(-0.0, 0.5), np.array([0.0, -0.0, 0.5, -0.5j])):
+            assert_same_bits(evaluate(f, z), horner_one_row(f.coeffs, z))
+
+    def test_no_points(self):
+        f = PowerSeries([1.0, 2.0, 3.0])
+        assert evaluate(f, np.zeros(0)).shape == (0,)
+        assert series._evaluate_rows([f.coeffs] * 2, np.zeros((0, 3))).shape == (2, 0, 3)
+
+
 class TestCalculus:
     @given(coeff_lists)
     @settings(max_examples=100, deadline=None)
