@@ -18,7 +18,7 @@ import numpy as np
 
 from .catalog import NamedMap, closed_form_eval, make_map
 from .radii import RadiusProblem, _m2_tails, m2_tail
-from .series import HarmonicMap, _check_count, circle_grid, evaluate_on_circle
+from .series import HarmonicMap, _check_count, _check_radius, circle_grid, evaluate_on_circle
 from .solver import solve_radius
 
 DEFAULT_MARGIN = 1e-3
@@ -105,8 +105,7 @@ def bohr_partial_sum(
     tail_constant * sum_{m>M} m^2 r^m in closed form; pass the catalog's
     constant for named maps, 0 for exact polynomials.
     """
-    if not 0.0 <= r < 1.0:
-        raise ValueError("r must lie in [0, 1)")
+    _check_radius("r", r)
     moduli = _checked_moduli(f, M, tail_constant)
     (total,) = _sums(moduli, [r])
     return total, tail_constant * m2_tail(r, len(moduli))
@@ -386,7 +385,8 @@ def boundary_reach(
     """(max |f|, min |f|) over equally spaced points of the circle |z| = r.
 
     Named maps are evaluated from their closed forms, arbitrary harmonic
-    maps from their truncated series.  The minimum is the sampled distance
+    maps from their truncated series, h + conj(g) by one inverse FFT
+    (``evaluate_on_circle``).  The minimum is the sampled distance
     from f(0) = 0 to the image curve; no exact boundary distance is
     computed.
     """
@@ -396,8 +396,7 @@ def boundary_reach(
     if isinstance(map_spec, NamedMap):
         values = closed_form_eval(map_spec, circle_grid(r, samples))
     elif isinstance(map_spec, HarmonicMap):
-        h, g = (evaluate_on_circle(s, r, samples) for s in (map_spec.h, map_spec.g))
-        values = h + np.conj(g)
+        values = evaluate_on_circle(map_spec, r, samples)
     else:
         raise TypeError("map_spec must be a NamedMap or HarmonicMap")
     moduli = np.abs(values)

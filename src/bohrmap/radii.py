@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .series import _check_count, _is_bool, _is_integer
+from .series import _check_count, _check_radius, _is_bool, _is_integer
 
 
 def _thm12_quasi(K: float) -> float:
@@ -278,8 +278,7 @@ def m2_tail(r: float, M: int) -> float:
     r^N [N^2 - (2N^2 - 2N - 1) r + (N-1)^2 r^2] / (1-r)^3, evaluated
     directly so no full-minus-partial cancellation occurs.
     """
-    if not 0.0 <= r < 1.0:
-        raise ValueError("r must lie in [0, 1)")
+    _check_radius("r", r)
     _check_count("M", M, 0)
     (tail,) = _m2_tails([r], M)
     return tail

@@ -282,30 +282,66 @@ def eval_harmonic(f: HarmonicMap, z):
     return h + np.conj(g)
 
 
+def _check_radius(name: str, r) -> None:
+    """Refuse a radius outside [0, 1): NaN fails the test, and a bool is no radius."""
+    if _is_bool(r) or not 0.0 <= r < 1.0:
+        raise ValueError(f"{name} must lie in [0, 1)")
+
+
 def _check_circle(radius: float, samples: int) -> None:
-    if not 0.0 <= radius < 1.0:
-        raise ValueError("radius must lie in [0, 1)")
+    _check_radius("radius", radius)
     _check_count("samples", samples, 1)
+
+
+@functools.lru_cache(maxsize=4)
+def _unit_roots(samples: int) -> np.ndarray:
+    """exp(2 pi i j / samples), j = 0..samples-1, shared by every caller, so read-only.
+
+    Four entries: 64 KB each at the 4096 samples of ``boundary_reach``.
+    """
+    angles = 2.0 * np.pi * np.arange(samples) / samples
+    roots = np.exp(1j * angles)
+    roots.setflags(write=False)
+    return roots
 
 
 def circle_grid(radius: float, samples: int) -> np.ndarray:
     """Equispaced points radius * exp(2 pi i j / samples), j = 0..samples-1."""
     _check_circle(radius, samples)
-    angles = 2.0 * np.pi * np.arange(samples) / samples
-    return radius * np.exp(1j * angles)
+    return radius * _unit_roots(samples)
 
 
-def evaluate_on_circle(series: PowerSeries, radius: float, samples: int) -> np.ndarray:
-    """The series at the points of ``circle_grid(radius, samples)``, by one inverse FFT.
+def evaluate_on_circle(f: PowerSeries | HarmonicMap, radius: float, samples: int) -> np.ndarray:
+    """f at the points of ``circle_grid(radius, samples)``, by one inverse FFT.
 
-    With w = exp(2 pi i / samples), sum_m c_m (radius w^j)^m = sum_k F_k w^(jk)
-    where F_k sums c_m radius^m over m = k mod samples, and that is
-    samples * ifft(F): O(M + N log N) against Horner's O(M N).  ``evaluate``
-    stays the way to arbitrary points.
+    For a series with w = exp(2 pi i / samples), sum_m c_m (radius w^j)^m =
+    sum_k F_k w^(jk) where F_k sums c_m radius^m over m = k mod samples, and
+    that is samples * ifft(F): O(M + N log N) against Horner's O(M N).  For
+    a harmonic map, conj(g(radius w^j)) = sum_m conj(b_m) radius^m w^(-jm),
+    so conj(b_m) radius^m joins F at frequency -m, and h + conj(g) comes
+    out of the same inverse FFT.  ``evaluate`` and ``eval_harmonic`` stay
+    the way to arbitrary points.
     """
     _check_circle(radius, samples)
-    c = series.coeffs
-    folded = np.zeros(-(-len(c) // samples) * samples, dtype=np.complex128)
-    folded[: len(c)] = c * radius ** np.arange(len(c), dtype=np.float64)
+    if isinstance(f, HarmonicMap):
+        h, b = f.h.coeffs, f.g.coeffs[1:]
+    elif isinstance(f, PowerSeries):
+        h, b = f.coeffs, f.coeffs[:0]
+    else:
+        raise TypeError("f must be a PowerSeries or HarmonicMap")
+    # radius^m is below 2^-26 of the smallest subnormal once m log2(1/radius)
+    # passes 1100, where pow returns +0.0 by a slow path (0.2 ms for the last
+    # 1,400 of 2,001 terms at radius 0.3, 2-vCPU Xeon, numpy 2.4); those
+    # zeros are written directly and the other powers come from pow
+    live = len(h)
+    if radius > 0.0:
+        live = min(live, math.floor(1100.0 / -math.log2(radius)) + 1)
+    powers = np.zeros(len(h))
+    powers[:live] = radius ** np.arange(live, dtype=np.float64)
+    # a_m radius^m at index m and conj(b_m) radius^m at index len - m, which
+    # is -m mod samples; the two runs never overlap
+    folded = np.zeros(-(-(len(h) + len(b)) // samples) * samples, dtype=np.complex128)
+    folded[: len(h)] = h * powers
+    folded[len(folded) - len(b) :] = (np.conj(b) * powers[1 : len(b) + 1])[::-1]
     # np.fft is loaded on first use, which keeps it out of ``import bohrmap``
     return samples * np.fft.ifft(folded.reshape(-1, samples).sum(axis=0))

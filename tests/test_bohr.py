@@ -517,7 +517,7 @@ class TestBoundaryReach:
 
     @pytest.mark.parametrize("record", MAP_TABLE, ids=lambda r: r.name)
     def test_series_agrees_with_closed_form(self, record):
-        # the series branch runs one inverse FFT per part on the circle
+        # the series branch runs one inverse FFT for h + conj(g) on the circle
         spec, p = witness_pairing(record)
         root = solve_radius(p).root
         series = boundary_reach(make_map(spec), root)

@@ -548,6 +548,25 @@ def test_count_minimum_is_accepted_and_one_below_refused(entry):
         call(minimum - 1)
 
 
+# Every radius in [0, 1) goes through series._check_radius; each entry point
+# keeps its own name for the radius in the message.
+RADIUS_ENTRY_POINTS = {
+    "circle_grid": (lambda r: circle_grid(r, 4), "radius"),
+    "bohr_partial_sum": (lambda r: bohrmap.bohr_partial_sum(make_map(KOEBE_60), r), "r"),
+    "m2_tail": (lambda r: bohrmap.m2_tail(r, 5), "r"),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(RADIUS_ENTRY_POINTS))
+@pytest.mark.parametrize("bad", [False, np.False_, True, np.True_, float("nan"), -0.1, 1.0])
+def test_radius_outside_unit_interval_is_refused(entry, bad):
+    # False compares equal to 0.0, which is a valid radius
+    call, name = RADIUS_ENTRY_POINTS[entry]
+    call(0.0)
+    with pytest.raises(ValueError, match=rf"^{name} must lie in \[0, 1\)$"):
+        call(bad)
+
+
 class TestHarmonicMap:
     def test_requires_matching_orders(self):
         with pytest.raises(ValueError):
@@ -573,7 +592,28 @@ class TestHarmonicMap:
         assert eval_harmonic(f, z) == pytest.approx(z + np.conj(0.5 * z))
 
 
+def _frozen_circle_grid(radius, samples):
+    # circle_grid before its unit roots were cached
+    angles = 2.0 * np.pi * np.arange(samples) / samples
+    return radius * np.exp(1j * angles)
+
+
 class TestCircleGrid:
+    @pytest.mark.parametrize("samples", [1, 7, 64, 256, 4096])
+    @pytest.mark.parametrize("radius", [0.0, 0.25, 0.3, 0.5, 0.999, np.float64(0.3485)])
+    def test_bits_match_the_uncached_formula(self, radius, samples):
+        got = circle_grid(radius, samples)
+        assert got.tobytes() == _frozen_circle_grid(radius, samples).tobytes()
+
+    def test_writing_a_grid_leaves_the_next_one_alone(self):
+        pts = circle_grid(0.5, 16)
+        pts[:] = 7.0
+        assert circle_grid(0.5, 16).tobytes() == _frozen_circle_grid(0.5, 16).tobytes()
+        roots = series._unit_roots(16)
+        assert not roots.flags.writeable
+        with pytest.raises(ValueError):
+            roots[0] = 0.0
+
     def test_shape_and_radius(self):
         pts = circle_grid(0.5, 32)
         assert pts.shape == (32,)
@@ -596,6 +636,21 @@ def _decaying_series(order, seed=0):
     return PowerSeries(c / (np.arange(order + 1) + 1.0) ** 2)
 
 
+def _frozen_evaluate_on_circle(f, radius, samples):
+    # evaluate_on_circle's series path before harmonic maps shared it;
+    # subordination.schwarz_sup reads these bits
+    c = f.coeffs
+    folded = np.zeros(-(-len(c) // samples) * samples, dtype=np.complex128)
+    folded[: len(c)] = c * radius ** np.arange(len(c), dtype=np.float64)
+    return samples * np.fft.ifft(folded.reshape(-1, samples).sum(axis=0))
+
+
+def _decaying_map(order):
+    b = _decaying_series(order, seed=2).coeffs.copy()
+    b[0] = 0.0
+    return HarmonicMap(_decaying_series(order, seed=1), PowerSeries(b))
+
+
 class TestEvaluateOnCircle:
     @pytest.mark.parametrize("r", [0.0, 0.3, 0.999])
     @pytest.mark.parametrize(
@@ -610,6 +665,53 @@ class TestEvaluateOnCircle:
         want = evaluate(f, circle_grid(r, samples))
         assert got.shape == (samples,)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("r", [0.0, 0.3, 0.999])
+    @pytest.mark.parametrize(
+        "order, samples",
+        [(m, n) for n in (64, 4096) for m in (0, 1, n // 2 - 1, n // 2, n - 1, n, 3 * n + 5)],
+    )
+    def test_harmonic_map_matches_horner_on_circle_grid(self, order, samples, r):
+        # from order N/2 on, conj(b_m) at frequency -m folds onto residues
+        # that h's coefficients also fill
+        f = _decaying_map(order)
+        got = evaluate_on_circle(f, r, samples)
+        want = eval_harmonic(f, circle_grid(r, samples))
+        assert got.shape == (samples,)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    # past m log2(1/r) = 1100 the kernel writes r^m = +0.0 itself: at
+    # order 2000 from m = 12 at r = 1e-30, 255 at r = 0.05, 634 at r = 0.3
+    @pytest.mark.parametrize("r", [0.0, 1e-300, 1e-30, 0.05, 0.3, 0.999])
+    @pytest.mark.parametrize(
+        "order, samples", [(0, 64), (63, 64), (64, 64), (2000, 256), (12293, 4096)]
+    )
+    def test_series_bits_match_the_series_only_kernel(self, order, samples, r):
+        f = _decaying_series(order)
+        got = evaluate_on_circle(f, r, samples)
+        assert got.tobytes() == _frozen_evaluate_on_circle(f, r, samples).tobytes()
+
+    @pytest.mark.parametrize("r", [1e-30, 0.05, 0.3, 0.7])
+    def test_series_bits_where_powers_underflow(self, r):
+        # c z^m with c near the largest double lifts r^m into view, whether
+        # it is normal, subnormal or zero; m sweeps r^m from 2^-1000 to 2^-1200
+        scale = -math.log2(r)
+        for m in range(math.floor(1000 / scale), math.ceil(1200 / scale) + 1):
+            c = np.zeros(m + 1)
+            c[m] = 1e308
+            f = PowerSeries(c)
+            got = evaluate_on_circle(f, r, 64)
+            assert got.tobytes() == _frozen_evaluate_on_circle(f, r, 64).tobytes()
+
+    def test_schwarz_sup_bits(self):
+        psi = random_schwarz(5, 3).series
+        radius, samples = subordination.SCHWARZ_RADIUS, subordination.SCHWARZ_GRID
+        got = evaluate_on_circle(psi, radius, samples)
+        assert got.tobytes() == _frozen_evaluate_on_circle(psi, radius, samples).tobytes()
+
+    def test_rejects_other_types(self):
+        with pytest.raises(TypeError, match="f must be a PowerSeries or HarmonicMap"):
+            evaluate_on_circle([1.0, 2.0], 0.5, 8)
 
     def test_exact_at_the_exact_points(self):
         # unit-size coefficients at r = 0.999: Horner at circle_grid's
