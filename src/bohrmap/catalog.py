@@ -56,8 +56,14 @@ def _half_plane_L(z, k):
 
 def _f0(z, k):
     # g0 = sum (m-1)^2/m z^m = koebe - 2*half - log(1-z), termwise.
-    g0 = _koebe(z) - 2.0 * _half(z) - np.log1p(-z)
-    return _koebe(z) + np.conj(g0)
+    h = _koebe(z)
+    g0 = h - 2.0 * _half(z) - np.log1p(-z)
+    return h + np.conj(g0)
+
+
+def _affine(h, k):
+    """h + k conj(h): the affine map w + k conj(w) after h, whose g is k h."""
+    return h + k * np.conj(h)
 
 
 @dataclass(frozen=True)
@@ -104,10 +110,10 @@ MAP_TABLE = (
             lambda m, k: (m, (m - 1.0) ** 2 / m), _f0,
             ("thm24_monomial", "cor25_monomial"), pins=(("k", 1.0), ("n", 1))),
     MapSpec("p_k", None, True, 2.0, 0.25,
-            lambda m, k: (m, k * m), lambda z, k: _koebe(z) + k * np.conj(_koebe(z)),
+            lambda m, k: (m, k * m), lambda z, k: _affine(_koebe(z), k),
             ("thm12_quasi", "thm23_quasi")),
     MapSpec("q_k", None, True, 2.0, 0.5,
-            lambda m, k: (1.0, k), lambda z, k: _half(z) + k * np.conj(_half(z)),
+            lambda m, k: (1.0, k), lambda z, k: _affine(_half(z), k),
             ("thm12_quasi_convex", "thm23_quasi_convex", "thm23_quasi")),
 )
 

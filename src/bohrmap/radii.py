@@ -262,8 +262,11 @@ def majorant_value(p: RadiusProblem, r):
         raise ValueError(
             f"{p.variant} has a closed-form radius; use closed_form_radius"
         )
+    # cast to float, a bool (scalar or array) reads as 0 or 1, so False
+    # would pass as r = 0; a bool is no radius
+    is_bool = np.asarray(r).dtype == np.bool_
     rs = np.asarray(r, dtype=np.float64)
-    if not np.all((rs >= 0.0) & (rs < 1.0)):
+    if is_bool or not np.all((rs >= 0.0) & (rs < 1.0)):
         raise ValueError("r must lie in [0, 1)")
     val = p.record.majorant(p, rs)
     if rs.ndim == 0:

@@ -19,11 +19,14 @@ import numpy as np
 
 DEFAULT_ORDER = 2000
 DEFAULT_COMPOSE_ORDER = 200
-# Power tables kept by ``_powers`` and composites kept by ``_composite``: a
-# subordination check composes several series with one inner series, and
-# composes some of them twice.  At order 200 a table is about 48 KB and a
-# composite 3 KB.
-POWER_TABLE_CACHE = 8
+# Power tables kept by ``_powers``: every caller composes with one inner
+# series at a time, and at order 200 a table is about 690 KB, nearly all of
+# it the n x n giant-step matrix.
+POWER_TABLE_CACHE = 1
+# Composites kept by ``_composite``: a subordination check composes several
+# series with one inner series, and composes some of them twice.  At order
+# 200 a composite is 3 KB.
+COMPOSITE_CACHE = 8
 
 
 def _is_bool(value) -> bool:
@@ -195,11 +198,13 @@ def compose(f: PowerSeries, psi: PowerSeries, order: int) -> PowerSeries:
     f_{js+i} w^i.  The baby steps psi^0..psi^(s-1) and the giant step psi^s
     take s truncated convolutions; every B_j(psi) comes out of one
     (ceil(L/s) x s) @ (s x n) matrix product; Horner over psi^s takes
-    ceil(L/s) - 1 more convolutions.  That is about 2 sqrt(n) convolutions
-    of length n, O(n^2.5) in all, where Horner over psi itself needs n of
-    them, O(n^3).  Every product is truncated to ``order``.  The power table
-    is built once per (psi, n, s), and the composite once per (f, psi,
-    order), both keyed by value; later calls reuse them.
+    ceil(L/s) - 1 more steps, each one matrix-vector product with the n x n
+    upper-triangular Toeplitz matrix of psi^s, which is the truncated
+    convolution with psi^s as one BLAS call.  That is about 2 sqrt(n)
+    products of length n, O(n^2.5) in all, where Horner over psi itself
+    needs n convolutions, O(n^3).  Every product is truncated to ``order``.
+    The power table is built once per (psi, n, s), and the composite once
+    per (f, psi, order), both keyed by value; later calls reuse them.
     """
     if psi.coeffs[0] != 0:
         raise ValueError("inner series must satisfy psi(0) == 0")
@@ -207,7 +212,7 @@ def compose(f: PowerSeries, psi: PowerSeries, order: int) -> PowerSeries:
     return _composite(f, psi, order)
 
 
-@functools.lru_cache(maxsize=POWER_TABLE_CACHE)
+@functools.lru_cache(maxsize=COMPOSITE_CACHE)
 def _composite(f: PowerSeries, psi: PowerSeries, order: int) -> PowerSeries:
     """compose(f, psi, order) after its checks; the result is immutable."""
     n = order + 1
@@ -219,23 +224,28 @@ def _composite(f: PowerSeries, psi: PowerSeries, order: int) -> PowerSeries:
     inner = blocks.reshape(-1, s) @ baby
     acc = inner[-1]
     for j in range(len(inner) - 2, -1, -1):
-        acc = np.convolve(acc, giant)[:n] + inner[j]
+        acc = acc @ giant + inner[j]
     return PowerSeries(acc)
 
 
 @functools.lru_cache(maxsize=POWER_TABLE_CACHE)
 def _powers(psi: PowerSeries, n: int, s: int) -> tuple[np.ndarray, np.ndarray]:
-    """Baby steps psi^0..psi^(s-1) as an (s x n) matrix and giant step psi^s.
+    """Baby steps psi^0..psi^(s-1) as an (s x n) matrix, and giant step psi^s
+    as the (n x n) matrix G with G[t, i] = (psi^s)_(i-t), zero below the diagonal.
 
-    Every power is truncated to n coefficients.  Both arrays are shared by
-    every call with an equal (psi, n, s), so they are read-only.
+    Every power is truncated to n coefficients, and so is a @ G, the
+    product of a with psi^s.  Both arrays are shared by every call with an
+    equal (psi, n, s), so they are read-only.
     """
     pc = psi.coeffs[:n]
     baby = np.zeros((s, n), dtype=np.complex128)
     baby[0, 0] = 1.0
     for i in range(1, s):
         baby[i] = np.convolve(baby[i - 1], pc)[:n]
-    giant = np.convolve(baby[-1], pc)[:n]
+    padded = np.zeros(2 * n - 1, dtype=np.complex128)
+    padded[n - 1 :] = np.convolve(baby[-1], pc)[:n]
+    # window k is padded[k : k + n], so window n - 1 - t is psi^s shifted right by t
+    giant = np.lib.stride_tricks.sliding_window_view(padded, n)[::-1].copy()
     baby.setflags(write=False)
     giant.setflags(write=False)
     return baby, giant

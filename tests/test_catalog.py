@@ -7,6 +7,7 @@ from bohrmap import (
     ALIASES,
     MAP_NAMES,
     NamedMap,
+    circle_grid,
     closed_form_eval,
     eval_harmonic,
     make_map,
@@ -140,6 +141,35 @@ class TestClosedForms:
         z = np.array([0.1, 0.2j, -0.3])
         out = closed_form_eval(NamedMap("half_plane_L"), z)
         assert out.shape == (3,)
+
+
+# The closed forms of f0, p_k and q_k as they were written before each
+# evaluated its Koebe or half-plane map once; the bits must not move.
+FROZEN_CLOSED_FORMS = {
+    "f0_sharp": lambda z, k: (
+        z / (1.0 - z) ** 2
+        + np.conj(z / (1.0 - z) ** 2 - 2.0 * (z / (1.0 - z)) - np.log1p(-z))
+    ),
+    "p_k": lambda z, k: z / (1.0 - z) ** 2 + k * np.conj(z / (1.0 - z) ** 2),
+    "q_k": lambda z, k: z / (1.0 - z) + k * np.conj(z / (1.0 - z)),
+}
+
+
+class TestClosedFormBits:
+    @pytest.mark.parametrize("name", sorted(FROZEN_CLOSED_FORMS))
+    @pytest.mark.parametrize("k", [0.0, 0.3, 1.0])
+    def test_circle_grid_bits(self, name, k):
+        spec = NamedMap(name, k=k if MAP[name].parametric else None)
+        z = circle_grid(0.3484, 4096)
+        want = FROZEN_CLOSED_FORMS[name](z, spec.k)
+        assert closed_form_eval(spec, z).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(FROZEN_CLOSED_FORMS))
+    @pytest.mark.parametrize("z", [0.0, 0.1, -0.999, 0.25 - 0.5j, 0.7j, complex(-0.0, 0.3)])
+    def test_scalar_point_bits(self, name, z):
+        spec = NamedMap(name, k=0.6 if MAP[name].parametric else None)
+        want = FROZEN_CLOSED_FORMS[name](np.asarray(z, dtype=np.complex128), spec.k)
+        assert closed_form_eval(spec, z).tobytes() == want.tobytes()
 
 
 class TestBoundAttainment:

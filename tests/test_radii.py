@@ -202,6 +202,15 @@ class TestMajorants:
         with pytest.raises(ValueError):
             majorant_value(p, np.array([0.1, math.nan]))
 
+    @pytest.mark.parametrize(
+        "r", [False, True, np.False_, np.True_, np.array([False, True]), np.zeros(3, dtype=bool)]
+    )
+    def test_rejects_bool_r(self, r):
+        # cast to float, False would read as r = 0 and give -1.0
+        p = RadiusProblem("cor25_monomial", n=1)
+        with pytest.raises(ValueError, match=r"r must lie in \[0, 1\)"):
+            majorant_value(p, r)
+
     def test_closed_form_variants_have_no_majorant(self):
         with pytest.raises(ValueError):
             majorant_value(RadiusProblem("thm11_univalent"), 0.1)

@@ -348,9 +348,9 @@ class TestComposeAgainstHorner:
 
 
 
-def uncached_compose(f, psi, order):
-    """compose() as it was before power tables were reused: every call
-    builds psi^0..psi^s itself.  Reuse must reproduce it bit for bit."""
+def _baby_and_giant(f, psi, order):
+    """psi^0..psi^(s-1) and psi^s as compose() builds them, with the blocks
+    of f's coefficients that the baby steps turn into B_0(psi)..B_last(psi)."""
     n = order + 1
     fc, pc = f.coeffs[:n], psi.coeffs[:n]
     s = math.isqrt(len(fc))
@@ -361,7 +361,27 @@ def uncached_compose(f, psi, order):
     giant = np.convolve(baby[-1], pc)[:n]
     blocks = np.zeros(-(-len(fc) // s) * s, dtype=np.complex128)
     blocks[: len(fc)] = fc
-    inner = blocks.reshape(-1, s) @ baby
+    return blocks.reshape(-1, s) @ baby, giant
+
+
+def uncached_compose(f, psi, order):
+    """compose() without reuse: every call builds psi^0..psi^(s-1) and the
+    Toeplitz matrix of psi^s itself.  Reuse must reproduce it bit for bit."""
+    n = order + 1
+    inner, giant = _baby_and_giant(f, psi, order)
+    padded = np.r_[np.zeros(n - 1, dtype=np.complex128), giant]
+    matrix = np.lib.stride_tricks.sliding_window_view(padded, n)[::-1].copy()
+    acc = inner[-1]
+    for j in range(len(inner) - 2, -1, -1):
+        acc = acc @ matrix + inner[j]
+    return acc
+
+
+def convolve_step_compose(f, psi, order):
+    """compose() as it was before its Horner step over psi^s became a
+    matrix-vector product: each step is a full convolution, cut to n."""
+    n = order + 1
+    inner, giant = _baby_and_giant(f, psi, order)
     acc = inner[-1]
     for j in range(len(inner) - 2, -1, -1):
         acc = np.convolve(acc, giant)[:n] + inner[j]
@@ -372,6 +392,24 @@ def assert_same_as_uncached(f, psi, order):
     got = compose(f, psi, order).coeffs
     want = uncached_compose(f, psi, order)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestComposeAgainstConvolveStep:
+    """The matrix-vector Horner step agrees with the convolution step it
+    replaced to 1e-14 (max-norm relative), on the campaign's series."""
+
+    def test_campaign_series_over_200_seeds(self):
+        m = np.arange(0.0, 201.0)
+        outer = [PowerSeries(m), PowerSeries(np.minimum(m, 1.0))]  # Koebe, half-plane
+        outer += [make_map(NamedMap(name, k=0.6, order=200)).g for name in ("p_k", "q_k")]
+        worst = 0.0
+        for seed in range(200):
+            psi = random_schwarz(seed, 1 + seed % 8).series
+            for f in outer:
+                got = compose(f, psi, 200).coeffs
+                want = convolve_step_compose(f, psi, 200)
+                worst = max(worst, np.max(np.abs(got - want)) / np.max(np.abs(want)))
+        assert worst <= 1e-14
 
 
 class TestPowerTableReuse:
@@ -429,11 +467,31 @@ class TestPowerTableReuse:
     def test_tables_are_read_only(self):
         psi = random_schwarz(3, 4).series
         baby, giant = series._powers(psi, 201, 14)
-        assert baby.shape == (14, 201) and giant.shape == (201,)
+        assert baby.shape == (14, 201) and giant.shape == (201, 201)
+        assert not baby.flags.writeable and not giant.flags.writeable
         with pytest.raises(ValueError):
             baby[1, 1] = 0.0
         with pytest.raises(ValueError):
-            giant[0] = 1.0
+            giant[0, 0] = 1.0
+        # G[t, i] = (psi^s)_(i-t) on and above the diagonal, zero below it
+        power = np.convolve(baby[-1], psi.coeffs)[:201]
+        t, i = np.indices(giant.shape)
+        assert giant[t <= i].tobytes() == power[(i - t)[t <= i]].tobytes()
+        assert not np.any(giant[t > i])
+
+    def test_table_cache_holds_one_entry(self):
+        assert series.POWER_TABLE_CACHE == 1
+        koebe = PowerSeries(np.arange(0.0, 201.0))
+        psis = [random_schwarz(seed, 4).series for seed in (1, 2)]
+        first = [compose(koebe, psi, 200).coeffs.tobytes() for psi in psis]
+        series._powers.cache_clear()
+        for _ in range(3):
+            for psi, want in zip(psis, first):
+                series._composite.cache_clear()
+                assert compose(koebe, psi, 200).coeffs.tobytes() == want
+                assert series._powers.cache_info().currsize == 1
+        # every alternation rebuilt the other inner series' table
+        assert series._powers.cache_info().misses == 6
 
 
 def composite_pool():
@@ -451,7 +509,7 @@ class TestCompositeReuse:
     """A composite found in the cache is the composite computed afresh."""
 
     def test_interleaved_sequence_longer_than_the_cache(self):
-        assert len(POOL) > series.POWER_TABLE_CACHE
+        assert len(POOL) > series.COMPOSITE_CACHE
         series._composite.cache_clear()
         for i in np.random.default_rng(12).integers(0, len(POOL), 5 * len(POOL)):
             assert_same_as_uncached(*POOL[i])
