@@ -18,7 +18,7 @@ import numpy as np
 
 from .catalog import NamedMap, closed_form_eval, make_map
 from .radii import RadiusProblem, _m2_tails, m2_tail
-from .series import HarmonicMap, _check_count, _check_radius, circle_grid, evaluate_on_circle
+from .series import HarmonicMap, _check_count, _check_param, circle_grid, evaluate_on_circle
 from .solver import solve_radius
 
 DEFAULT_MARGIN = 1e-3
@@ -70,7 +70,7 @@ class BohrProfile:
             raise ValueError("partial sums must be nonnegative and nondecreasing")
         if not np.all(tails >= 0.0):
             raise ValueError("tail bounds must be nonnegative")
-        _check_bound(self.bound)
+        _check_param("bound", self.bound)
         _check_count("M", self.M, 0)
         object.__setattr__(self, "r_grid", r)
         object.__setattr__(self, "partial_sums", sums)
@@ -105,7 +105,7 @@ def bohr_partial_sum(
     tail_constant * sum_{m>M} m^2 r^m in closed form; pass the catalog's
     constant for named maps, 0 for exact polynomials.
     """
-    _check_radius("r", r)
+    _check_param("r", r)
     moduli = _checked_moduli(f, M, tail_constant)
     (total,) = _sums(moduli, [r])
     return total, tail_constant * m2_tail(r, len(moduli))
@@ -118,8 +118,7 @@ def _checked_moduli(f: HarmonicMap, M: int | None, tail_constant: float) -> np.n
     _check_count("M", M, 0)
     if M > f.order:
         raise ValueError("M must lie in [0, truncation order]")
-    if tail_constant < 0.0:
-        raise ValueError("tail_constant must be >= 0")
+    _check_param("tail_constant", tail_constant)
     # |a_m| + |b_m| may overflow to inf; _horner then refuses the sum
     with np.errstate(over="ignore"):
         return f.coefficient_moduli()[1 : M + 1]
@@ -294,11 +293,6 @@ def _rounding_bound(sums, M: int):
     return n * _UNIT_ROUNDOFF / (1.0 - 2 * n * _UNIT_ROUNDOFF) * sums + M * _SMALLEST_SUBNORMAL
 
 
-def _check_bound(bound: float) -> None:
-    if not (math.isfinite(bound) and bound > 0.0):
-        raise ValueError("bound must be positive and finite")
-
-
 def _radius_and_bound(
     p: RadiusProblem, radius: float | None, bound: float | None
 ) -> tuple[float, float]:
@@ -307,9 +301,8 @@ def _radius_and_bound(
         radius = solve_radius(p).root
     if bound is None:
         bound = p.bound()
-    bound = float(bound)
-    _check_bound(bound)
-    return radius, bound
+    _check_param("bound", bound)
+    return radius, float(bound)
 
 
 def verify_inequality(
@@ -330,8 +323,7 @@ def verify_inequality(
     as ``bound``.  Failing verdicts are data, not errors: the profile
     reports them and ``all_pass`` summarizes.
     """
-    if not margin > 0.0:
-        raise ValueError("margin must be positive")
+    _check_param("margin", margin)
     _check_count("grid_size", grid_size, 2)
     radius, bound = _radius_and_bound(p, radius, bound)
     top = radius - margin
@@ -369,8 +361,7 @@ def sharpness_scan(
     excess is returned (no tail is added: the truncated sum alone already
     overshooting is the demonstration).
     """
-    if not epsilon > 0.0:
-        raise ValueError("epsilon must be positive")
+    _check_param("epsilon", epsilon)
     radius, bound = _radius_and_bound(p, None, bound)
     r = radius + epsilon
     if not r < 1.0:
@@ -390,8 +381,7 @@ def boundary_reach(
     from f(0) = 0 to the image curve; no exact boundary distance is
     computed.
     """
-    if not 0.0 < r < 1.0:
-        raise ValueError("r must lie in (0, 1)")
+    _check_param("reach r", r)
     _check_count("samples", samples, 64)
     if isinstance(map_spec, NamedMap):
         values = closed_form_eval(map_spec, circle_grid(r, samples))

@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .series import DEFAULT_ORDER, HarmonicMap, PowerSeries, _check_count, _is_bool
+from .series import DEFAULT_ORDER, HarmonicMap, PowerSeries, _check_count, _check_param
 
 
 def _koebe(z):
@@ -144,8 +144,7 @@ class NamedMap:
         if self.record.parametric:
             if self.k is None:
                 raise ValueError(f"{self.name} requires the dilatation bound k")
-            if _is_bool(self.k) or not 0.0 <= self.k <= 1.0:
-                raise ValueError("k must lie in [0, 1]")
+            _check_param("map k", self.k)
         elif self.k is not None:
             raise ValueError(f"{self.name} takes no k parameter")
         _check_count("order", self.order, 2)

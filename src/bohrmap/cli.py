@@ -17,7 +17,7 @@ import numpy as np
 # Only what radius and table run is imported here; each other command
 # imports its layers itself, so a cold start loads no more than it needs.
 from .radii import RadiusProblem
-from .series import DEFAULT_COMPOSE_ORDER, DEFAULT_ORDER, circle_grid
+from .series import DEFAULT_COMPOSE_ORDER, DEFAULT_ORDER, _check_count, circle_grid
 from .solver import WIDTH_TOL, solve_radius
 
 
@@ -78,7 +78,12 @@ def _render(args, head, payload, fields=(), csv=None, plain=None) -> None:
 def _emit(text: str, out: str | None) -> None:
     text += "\n"
     if out:
-        with open(out, "w") as fh:
+        # an unwritable --out is a usage error; main reports it with exit 2
+        try:
+            fh = open(out, "w")
+        except OSError as exc:
+            raise ValueError(f"cannot write --out {out}: {exc.strerror}") from exc
+        with fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -114,8 +119,7 @@ def cmd_radius(args) -> int:
 
 
 def cmd_table(args) -> int:
-    if args.max_n < 1:
-        raise ValueError("--max-n must be >= 1")
+    _check_count("--max-n", args.max_n, 1)
     rows = []
     for n in range(1, args.max_n + 1):
         cert = solve_radius(RadiusProblem("cor25_monomial", n=n), args.tol)
@@ -186,8 +190,7 @@ def cmd_image_curve(args) -> int:
 
     if not 0.0 < args.r < 1.0:
         raise ValueError("--r must lie in (0, 1)")
-    if args.samples < 1:
-        raise ValueError("--samples must be >= 1")
+    _check_count("--samples", args.samples, 1)
     spec = NamedMap(args.map, k=args.k)
     values = closed_form_eval(spec, circle_grid(args.r, args.samples))
     max_mod = float(np.max(np.abs(values)))
@@ -204,8 +207,7 @@ def cmd_image_curve(args) -> int:
 def cmd_campaign(args) -> int:
     from .subordination import domination_campaign
 
-    if args.cases < 1:
-        raise ValueError("--cases must be >= 1")
+    _check_count("--cases", args.cases, 1)
     map_names = tuple(name.strip() for name in args.maps.split(",") if name.strip())
     report = domination_campaign(
         seeds=range(args.cases), map_names=map_names, order=args.order

@@ -13,15 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .radii import _check_param
-from .series import HarmonicMap, PowerSeries, _evaluate_rows, term_differentiate
+from .series import HarmonicMap, PowerSeries, _check_param, _evaluate_rows, term_differentiate
 
 MOBIUS_VARIANTS = ("plus", "minus")
 
 
 @dataclass(frozen=True)
 class MonomialDilatation:
-    """w(z) = k * exp(i*theta) * z^n with 0 < k <= 1 and integer n >= 1."""
+    """w(z) = k * exp(i*theta) * z^n with 0 < k <= 1, finite theta and integer n >= 1."""
 
     k: float
     theta: float = 0.0
@@ -30,6 +29,7 @@ class MonomialDilatation:
     def __post_init__(self):
         _check_param("k", self.k)
         _check_param("n", self.n)
+        _check_param("theta", self.theta)
         object.__setattr__(self, "theta", float(self.theta) % (2.0 * np.pi))
 
     def __call__(self, z):

@@ -11,7 +11,7 @@ here; certified root extraction lives in ``solver``.
 ``VARIANT_TABLE`` holds one ``Variant`` record per statement: its short
 alias, parameters, bound kind, description and radius.  Adding a theorem
 means adding one record; ``VARIANTS`` and ``THEOREM_ALIASES`` are derived
-from it.  ``_PARAM_RULES`` holds the domains of K, k, n and a.
+from it.  The domains of K, k and n are rows of ``series._PARAM_RULES``.
 
 "Bound d" marks the families whose Bohr sum is compared against the distance
 from the image of 0 to the image boundary; the caller supplies that distance
@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .series import _check_count, _check_radius, _is_bool, _is_integer
+from .series import _check_count, _check_param
 
 
 def _thm12_quasi(K: float) -> float:
@@ -157,24 +157,6 @@ VARIANTS = tuple(VARIANT)
 # Short spellings accepted anywhere a variant is named (CLI included).
 THEOREM_ALIASES = {v.alias: v.name for v in VARIANT_TABLE if v.alias}
 
-# (parameter, test, message), checked in this order; K must also be finite so
-# that no closed form sees an infinity.  True would pass the range tests of
-# K, k and a, so a bool is refused with their words, as counts refuse it.
-_PARAM_RULES = (
-    ("K", lambda K: not _is_bool(K) and K >= 1.0, "K must be >= 1"),
-    ("K", math.isfinite, "K must be finite"),
-    ("k", lambda k: not _is_bool(k) and 0.0 < k <= 1.0, "k must lie in (0, 1]"),
-    ("n", lambda n: _is_integer(n) and n >= 1, "n must be an integer >= 1"),
-    ("a", lambda a: not _is_bool(a) and -1.0 < a < 1.0, "a must lie in (-1, 1)"),
-)
-
-
-def _check_param(name: str, value) -> None:
-    """Raise the message of the first rule on ``name`` that value breaks."""
-    for param, test, message in _PARAM_RULES:
-        if param == name and not test(value):
-            raise ValueError(message)
-
 
 def resolve_variant(name: str) -> str:
     """Canonical variant tag, accepting the short aliases."""
@@ -281,7 +263,7 @@ def m2_tail(r: float, M: int) -> float:
     r^N [N^2 - (2N^2 - 2N - 1) r + (N-1)^2 r^2] / (1-r)^3, evaluated
     directly so no full-minus-partial cancellation occurs.
     """
-    _check_radius("r", r)
+    _check_param("r", r)
     _check_count("M", M, 0)
     (tail,) = _m2_tails([r], M)
     return tail

@@ -47,6 +47,40 @@ def _check_count(name: str, value, minimum: int) -> None:
         raise ValueError(f"{name} must be >= {minimum}")
 
 
+# (argument, test, message): the domain of every real-valued argument of the
+# package, checked in this order.  Each test is written so that NaN, which
+# fails every comparison, fails it.  A bool would pass most of them, so it
+# breaks an argument's first row, as counts refuse it.  "map k" is a catalog
+# map's k, where k = 0 is the analytic map; "reach r" is boundary_reach's r.
+_PARAM_RULES = (
+    ("K", lambda K: K >= 1.0, "K must be >= 1"),
+    ("K", math.isfinite, "K must be finite"),
+    ("k", lambda k: 0.0 < k <= 1.0, "k must lie in (0, 1]"),
+    ("map k", lambda k: 0.0 <= k <= 1.0, "k must lie in [0, 1]"),
+    ("n", lambda n: _is_integer(n) and n >= 1, "n must be an integer >= 1"),
+    ("a", lambda a: -1.0 < a < 1.0, "a must lie in (-1, 1)"),
+    ("theta", math.isfinite, "theta must be finite"),
+    ("c", lambda c: abs(complex(c)) <= 1.0, "|c| must be <= 1"),
+    ("r", lambda r: 0.0 <= r < 1.0, "r must lie in [0, 1)"),
+    ("radius", lambda r: 0.0 <= r < 1.0, "radius must lie in [0, 1)"),
+    ("reach r", lambda r: 0.0 < r < 1.0, "r must lie in (0, 1)"),
+    ("tol", lambda tol: tol > 0.0, "tol must be positive"),
+    ("tol", math.isfinite, "tol must be finite"),
+    ("bound", lambda b: 0.0 < b < math.inf, "bound must be positive and finite"),
+    ("margin", lambda m: m > 0.0, "margin must be positive"),
+    ("epsilon", lambda e: e > 0.0, "epsilon must be positive"),
+    ("tail_constant", lambda C: C >= 0.0, "tail_constant must be >= 0"),
+    ("tail_constant", math.isfinite, "tail_constant must be finite"),
+)
+
+
+def _check_param(name: str, value) -> None:
+    """Raise the message of the first rule on ``name`` that value breaks; a bool breaks all."""
+    for param, test, message in _PARAM_RULES:
+        if param == name and (_is_bool(value) or not test(value)):
+            raise ValueError(message)
+
+
 class PowerSeries:
     """Coefficients c_0..c_M of sum c_m z^m, stored as complex128.
 
@@ -292,14 +326,8 @@ def eval_harmonic(f: HarmonicMap, z):
     return h + np.conj(g)
 
 
-def _check_radius(name: str, r) -> None:
-    """Refuse a radius outside [0, 1): NaN fails the test, and a bool is no radius."""
-    if _is_bool(r) or not 0.0 <= r < 1.0:
-        raise ValueError(f"{name} must lie in [0, 1)")
-
-
 def _check_circle(radius: float, samples: int) -> None:
-    _check_radius("radius", radius)
+    _check_param("radius", radius)
     _check_count("samples", samples, 1)
 
 

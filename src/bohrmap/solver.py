@@ -15,6 +15,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .radii import RadiusProblem, closed_form_radius, majorant_value
+from .series import _check_param
 
 DEFAULT_BRACKET = (1e-9, 1.0 - 1e-9)
 WIDTH_TOL = 1e-13
@@ -55,13 +56,6 @@ def _eval_checked(f, x: float) -> float:
     return val
 
 
-def _check_tol(tol: float) -> None:
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
-    if not math.isfinite(tol):
-        raise ValueError("tol must be finite")
-
-
 def bracket_root(
     f,
     lo: float,
@@ -75,7 +69,7 @@ def bracket_root(
     certificates.  The certificate names no problem and claims no monotone
     scan; solve_radius fills both in.
     """
-    _check_tol(tol)
+    _check_param("tol", tol)
     if not lo < hi:
         raise ValueError("bracket invalid: need lo < hi")
     flo = _eval_checked(f, lo)
@@ -143,7 +137,7 @@ def solve_radius(p: RadiusProblem, tol: float = WIDTH_TOL) -> RootCertificate:
     root-defined certificate is computed once per (p, tol) by value and
     reused; the returned one always names the caller's own p.
     """
-    _check_tol(tol)
+    _check_param("tol", tol)
     if not p.root_defined:
         root = closed_form_radius(p)
         if not 0.0 < root < 1.0:

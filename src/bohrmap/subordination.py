@@ -28,6 +28,7 @@ from .series import (
     HarmonicMap,
     PowerSeries,
     _check_count,
+    _check_param,
     cauchy_product,
     compose,
     evaluate_on_circle,
@@ -76,9 +77,8 @@ def _checked(series: PowerSeries, description: str) -> SchwarzFunction:
 def monomial_schwarz(c: complex, j: int) -> SchwarzFunction:
     """psi(z) = c z^j with |c| <= 1 and j >= 1."""
     _check_count("j", j, 1)
+    _check_param("c", c)
     c = complex(c)
-    if abs(c) > 1.0:
-        raise ValueError("|c| must be <= 1")
     coeffs = np.zeros(j + 1, dtype=np.complex128)
     coeffs[j] = c
     return _checked(PowerSeries(coeffs), f"monomial(c={c:.6g}, j={j})")

@@ -233,6 +233,21 @@ class TestImageCurve:
         text = target.read_text()
         assert text.startswith("# map=koebe_analytic r=0.5 samples=8")
 
+    @pytest.mark.parametrize("argv", [
+        ("radius", "--theorem", "thm11"),
+        ("image-curve", "--map", "koebe", "--r", "0.5", "--samples", "8"),
+    ])
+    def test_unwritable_out_file_is_a_usage_error(self, capsys, tmp_path, argv):
+        target = tmp_path / "missing" / "out.txt"
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(target)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        last = captured.err.splitlines()[-1]
+        assert last == f"bohrmap: error: cannot write --out {target}: No such file or directory"
+        assert "Traceback" not in captured.err
+
 
 class TestCampaign:
     def test_small_campaign_json(self, capsys):

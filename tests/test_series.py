@@ -606,7 +606,7 @@ def test_count_minimum_is_accepted_and_one_below_refused(entry):
         call(minimum - 1)
 
 
-# Every radius in [0, 1) goes through series._check_radius; each entry point
+# Every radius in [0, 1) goes through series._check_param; each entry point
 # keeps its own name for the radius in the message.
 RADIUS_ENTRY_POINTS = {
     "circle_grid": (lambda r: circle_grid(r, 4), "radius"),

@@ -1,13 +1,15 @@
-"""Invariants across the variant and map tables, and the package's exports.
+"""Invariants across the variant, map and argument-domain tables, and the package's exports.
 
 Every record of ``VARIANT_TABLE`` and ``MAP_TABLE`` is checked here, so a
-new theorem or map is covered without editing this file.
+new theorem or map is covered without editing this file.  Every argument
+of ``series._PARAM_RULES`` is refused alike by each entry point taking it.
 """
 
 import importlib
 import itertools
 import types
 
+import numpy as np
 import pytest
 
 import bohrmap
@@ -16,15 +18,25 @@ from bohrmap import (
     MAP_TABLE,
     VARIANT_TABLE,
     VARIANTS,
+    BohrProfile,
+    MobiusDilatation,
+    MonomialDilatation,
     NamedMap,
     RadiusProblem,
+    bohr_partial_sum,
+    boundary_reach,
+    bracket_root,
     closed_form_radius,
     majorant_value,
     make_map,
+    monomial_schwarz,
     resolve_name,
     resolve_variant,
+    sharpness_scan,
+    solve_radius,
     verify_inequality,
 )
+from bohrmap.series import _PARAM_RULES
 
 # Parameter values every record is checked at, spanning each range.
 SAMPLES = {"K": (1.0, 3.0, 1e300), "k": (0.25, 1.0), "n": (1, 4)}
@@ -133,3 +145,127 @@ def test_all_lists_exactly_the_public_names():
     }
     assert sorted(bohrmap.__all__) == sorted(public | {"__version__"})
     assert set(bohrmap.__all__) <= set(dir(bohrmap))
+
+
+# (argument, bad value, message); every entry point that takes the argument
+# must refuse the value with the same words.  The r and radius rows are
+# tests/test_series.py::RADIUS_ENTRY_POINTS.
+BAD_PARAMS = [
+    ("K", 0.5, "K must be >= 1"),
+    ("K", True, "K must be >= 1"),
+    ("K", np.inf, "K must be finite"),
+    ("k", 0.0, "k must lie in (0, 1]"),
+    ("k", 1.5, "k must lie in (0, 1]"),
+    ("k", np.nan, "k must lie in (0, 1]"),
+    ("k", True, "k must lie in (0, 1]"),
+    ("map k", -0.1, "k must lie in [0, 1]"),
+    ("map k", 1.5, "k must lie in [0, 1]"),
+    ("map k", np.nan, "k must lie in [0, 1]"),
+    ("map k", True, "k must lie in [0, 1]"),
+    ("n", 0, "n must be an integer >= 1"),
+    ("n", 1.5, "n must be an integer >= 1"),
+    ("n", True, "n must be an integer >= 1"),
+    ("n", False, "n must be an integer >= 1"),
+    ("a", 1.0, "a must lie in (-1, 1)"),
+    ("a", -1.0, "a must lie in (-1, 1)"),
+    ("a", np.nan, "a must lie in (-1, 1)"),
+    ("a", False, "a must lie in (-1, 1)"),
+    ("a", True, "a must lie in (-1, 1)"),
+    ("theta", np.nan, "theta must be finite"),
+    ("theta", np.inf, "theta must be finite"),
+    ("theta", True, "theta must be finite"),
+    ("c", 1.5, "|c| must be <= 1"),
+    ("c", np.nan, "|c| must be <= 1"),
+    ("c", True, "|c| must be <= 1"),
+    ("reach r", 0.0, "r must lie in (0, 1)"),
+    ("reach r", 1.0, "r must lie in (0, 1)"),
+    ("reach r", np.nan, "r must lie in (0, 1)"),
+    ("reach r", True, "r must lie in (0, 1)"),
+    ("tol", 0.0, "tol must be positive"),
+    ("tol", np.nan, "tol must be positive"),
+    ("tol", np.inf, "tol must be finite"),
+    ("tol", True, "tol must be positive"),
+    ("bound", 0.0, "bound must be positive and finite"),
+    ("bound", np.nan, "bound must be positive and finite"),
+    ("bound", np.inf, "bound must be positive and finite"),
+    ("bound", True, "bound must be positive and finite"),
+    ("margin", 0.0, "margin must be positive"),
+    ("margin", np.nan, "margin must be positive"),
+    ("margin", True, "margin must be positive"),
+    ("epsilon", 0.0, "epsilon must be positive"),
+    ("epsilon", np.nan, "epsilon must be positive"),
+    ("epsilon", True, "epsilon must be positive"),
+    ("tail_constant", -1.0, "tail_constant must be >= 0"),
+    ("tail_constant", np.nan, "tail_constant must be >= 0"),
+    ("tail_constant", np.inf, "tail_constant must be finite"),
+    ("tail_constant", True, "tail_constant must be >= 0"),
+]
+
+HALF_PLANE = make_map(NamedMap("half_plane_analytic", order=40))
+THM211 = RadiusProblem("thm211_convex")
+
+BUILDERS = {
+    "K": [
+        lambda v: RadiusProblem("thm12_quasi", K=v),
+        lambda v: RadiusProblem("thm23_quasi_convex", K=v),
+    ],
+    "k": [
+        lambda v: RadiusProblem("thm24_monomial", k=v, n=1),
+        lambda v: MonomialDilatation(k=v),
+    ],
+    "map k": [
+        lambda v: NamedMap("p_k", k=v),
+        lambda v: NamedMap("q_k", k=v),
+    ],
+    "n": [
+        lambda v: RadiusProblem("thm24_monomial", k=0.5, n=v),
+        lambda v: RadiusProblem("cor25_monomial", n=v),
+        lambda v: MonomialDilatation(k=0.5, n=v),
+    ],
+    "a": [
+        lambda v: MobiusDilatation(a=v),
+    ],
+    "theta": [
+        lambda v: MonomialDilatation(k=0.5, theta=v),
+    ],
+    "c": [
+        lambda v: monomial_schwarz(v, 1),
+    ],
+    "reach r": [
+        lambda v: boundary_reach(NamedMap("koebe_analytic"), v),
+        lambda v: boundary_reach(HALF_PLANE, v),
+    ],
+    "tol": [
+        lambda v: solve_radius(RadiusProblem("thm11_univalent"), tol=v),
+        lambda v: solve_radius(RadiusProblem("cor25_monomial", n=1), tol=v),
+        lambda v: bracket_root(lambda r: r - 0.5, 0.0, 1.0, tol=v),
+    ],
+    "bound": [
+        lambda v: verify_inequality(HALF_PLANE, THM211, bound=v),
+        lambda v: sharpness_scan(HALF_PLANE, THM211, 0.01, bound=v),
+        lambda v: BohrProfile("x", [0.0, 0.1], [0.0, 0.1], [0.0, 0.0], bound=v),
+    ],
+    "margin": [
+        lambda v: verify_inequality(HALF_PLANE, THM211, margin=v),
+    ],
+    "epsilon": [
+        lambda v: sharpness_scan(HALF_PLANE, THM211, v),
+    ],
+    "tail_constant": [
+        lambda v: bohr_partial_sum(HALF_PLANE, 0.3, tail_constant=v),
+        lambda v: verify_inequality(HALF_PLANE, THM211, tail_constant=v),
+    ],
+}
+
+
+def test_every_argument_domain_has_bad_values_and_entry_points():
+    tested = {name for name, _, _ in BAD_PARAMS} | {"r", "radius"}
+    assert tested == set(BUILDERS) | {"r", "radius"} == {row[0] for row in _PARAM_RULES}
+
+
+@pytest.mark.parametrize("name, value, message", BAD_PARAMS)
+def test_parameter_domains_agree(name, value, message):
+    for build in BUILDERS[name]:
+        with pytest.raises(ValueError) as info:
+            build(value)
+        assert str(info.value) == message
