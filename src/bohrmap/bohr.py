@@ -24,17 +24,12 @@ from .solver import solve_radius
 DEFAULT_MARGIN = 1e-3
 DEFAULT_GRID_SIZE = 256
 DEFAULT_TAIL_CONSTANT = 2.0
-# From this many chains on, _horner and _stationary_chain run Horner on a
-# numpy vector of radii; below it, on one Python float per chain.  A sum
-# runs one chain per radius, or two in the sandwich of _sums.  Each form is
-# the faster one where it runs (2-vCPU Xeon, Python 3.11, numpy 2.4): a
-# 57-term head, as on a verify grid, takes 0.003 ms as floats and 0.11 ms
-# as a vector for one chain, 0.74 and 0.08 ms for 512 chains; the full
-# 2,000-term chain 0.08 and 3.5 ms for one chain, 26 and 2.2 ms for 512.
-# Whatever the chain length, the two cross between 32 and 44 chains, near
-# 40 over repeated runs.  Both forms perform the same IEEE binary64
-# operations, acc = (acc + c) * r, in the same order, so every sum is the
-# same bit for bit.
+# From this many chains on, _horner runs Horner on a numpy vector of radii;
+# below it, on one Python float per chain.  Each form is the faster one
+# where it runs: whatever the chain length, the two cross between 32 and 44
+# chains, near 40 over repeated runs (2-vCPU Xeon, Python 3.11, numpy 2.4).
+# Both perform the same IEEE binary64 operations, acc = (acc + c) * r, in
+# the same order, so every sum is the same bit for bit.
 HORNER_VECTOR_RADII = 40
 _UNIT_ROUNDOFF = 2.0**-53
 _SMALLEST_SUBNORMAL = 2.0**-1074
@@ -155,16 +150,20 @@ def _sums(moduli: np.ndarray, rs) -> list[float]:
     that float too; any radius where they differ runs the full chain.  The
     chain from 0 is the full chain's own head, and the chain from U stays
     below U, since rho (U + cmax) + 2^-1075 < U, so requiring U + cmax <=
-    2^1000 keeps it finite.  m0 is a guess: a poor one costs time, never
-    bits.
+    2^1000 keeps it finite; where that fails, or the head would be all M
+    terms, every radius runs the full chain.  m0 is a guess: a poor one
+    costs time, never bits.
 
-    Constant tail.  When c_m = c for every m > t, the sandwich does not
-    close, because the rounded step has several fixed points near c r /
-    (1 - r).  The chain from 0 over the constant part is nondecreasing (x_1
-    = F(0) >= 0 = x_0, and F keeps order), so it reaches a first x with
-    F(x) == x and stays there.  Running it until a step changes no
-    radius, for at most M - t steps, gives acc_{t+1} exactly; the head of t
-    steps then finishes the chain.
+    Constant tail.  When c_m = c for every m > t and t <= m0, the sandwich
+    does not close, because the rounded step F(x) = fl(fl(x + c) * r) has
+    several fixed points near c r / (1 - r).  The chain from 0 runs m0
+    steps of F instead (M - t if fewer), and then one more.  Where that
+    step leaves its value x unchanged, x is a fixed point, so every later
+    step leaves it too and the full chain's M - t constant steps from 0 end
+    on x = acc_{t+1}; the t varying steps then finish the chain.  The chain
+    from 0 is nondecreasing (F(0) >= 0 and F keeps order), so it rises to
+    its first fixed point and stays there; a radius still rising after m0
+    steps runs the full chain, as an open radius of the sandwich does.
     """
     rs = np.asarray(rs, dtype=np.float64)
     M = len(moduli)
@@ -172,25 +171,26 @@ def _sums(moduli: np.ndarray, rs) -> list[float]:
         return [0.0] * rs.size
     r_max = float(rs.max())
     cmax = float(moduli.max())
-    if not (math.isfinite(cmax) and r_max < 1.0):
-        return _full_chain(moduli, rs)
-    m0 = _head_length(moduli, r_max, cmax)
-    if m0 == M:
-        return _full_chain(moduli, rs)
-    last = float(moduli[-1])
-    varying = np.flatnonzero(moduli != last)
-    t = int(varying[-1]) + 1 if varying.size else 0
-    if t <= m0:
-        return _horner(moduli[:t], rs, _stationary_chain(last, M - t, rs))
     rho = r_max * (1.0 + 2.0**-50) + _SMALLEST_SUBNORMAL
     U = 2.0 * (cmax * rho + 2.0**-1070) / (1.0 - rho) if rho < 1.0 else math.inf
-    if not U + cmax <= 2.0**1000:
+    # false for a non-finite modulus and for r_max at or too near 1
+    m0 = _head_length(moduli, r_max, cmax) if U + cmax <= 2.0**1000 else M
+    if m0 == M:
         return _full_chain(moduli, rs)
+    varying = np.flatnonzero(moduli != moduli[-1])
+    t = int(varying[-1]) + 1 if varying.size else 0
     n = rs.size
-    both = _horner(moduli[:m0], np.concatenate((rs, rs)), [0.0] * n + [U] * n)
-    out, upper = both[:n], both[n:]
-    if out != upper:
-        open_ = [i for i in range(n) if out[i] != upper[i]]
+    # each route ends on lo <= hi per radius, and closes the radii where they are equal
+    if t <= m0:
+        lo = _horner(moduli[t : t + m0], rs, [0.0] * n)
+        hi = _horner(moduli[t : t + 1], rs, lo)
+        out = _horner(moduli[:t], rs, lo) if t else lo
+    else:
+        both = _horner(moduli[:m0], np.concatenate((rs, rs)), [0.0] * n + [U] * n)
+        out = lo = both[:n]
+        hi = both[n:]
+    if lo != hi:
+        open_ = [i for i in range(n) if lo[i] != hi[i]]
         for i, s in zip(open_, _full_chain(moduli, rs[open_])):
             out[i] = s
     return out
@@ -245,36 +245,6 @@ def _horner(moduli: np.ndarray, rs: np.ndarray, seeds) -> list[float]:
             out.append(acc)
     if not all(map(math.isfinite, out)):
         raise ValueError("Bohr sum overflows binary64: the coefficient moduli are too large")
-    return out
-
-
-def _stationary_chain(c: float, steps: int, rs: np.ndarray) -> list[float]:
-    """acc = (acc + c) * r from 0, ``steps`` times or until no radius changes.
-
-    The vector form compares every fourth step, a comparison costing about
-    a step: the chain is nondecreasing, so four steps that end where they
-    began changed nothing.
-    """
-    if len(rs) >= HORNER_VECTOR_RADII:
-        acc = np.zeros_like(rs)
-        # an overflow here reaches _horner as an infinite seed, and is refused there
-        with np.errstate(over="ignore"):
-            for done in range(0, steps, 4):
-                prev = acc.copy()
-                for _ in range(min(4, steps - done)):
-                    acc += c
-                    acc *= rs
-                if (acc == prev).all():
-                    break
-        return acc.tolist()
-    out = []
-    for r in rs.tolist():
-        acc = 0.0
-        for _ in range(steps):
-            prev, acc = acc, (acc + c) * r
-            if acc == prev:
-                break
-        out.append(acc)
     return out
 
 

@@ -9,7 +9,9 @@ exit code is 0 exactly when everything requested passed.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 
 import numpy as np
@@ -87,6 +89,24 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _check_out(out: str) -> None:
+    """Refuse an --out that ``_emit`` could not open, without creating or truncating it.
+
+    The path must be a writable file or a new name in a writable directory;
+    the message gives the reason open() would give.
+    """
+    parent = os.path.dirname(out) or "."
+    if os.path.isdir(out):
+        reason = errno.EISDIR
+    elif not os.path.isdir(parent):
+        reason = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+    elif not os.access(out if os.path.exists(out) else parent, os.W_OK):
+        reason = errno.EACCES
+    else:
+        return
+    raise ValueError(f"cannot write --out {out}: {os.strerror(reason)}")
 
 
 def _problem_from_args(args) -> RadiusProblem:
@@ -339,6 +359,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # an unwritable --out is refused before the command does its work
+        if args.out:
+            _check_out(args.out)
         return args.func(args)
     except ValueError as exc:
         # every invalid input is a usage error: exit 2 after the usage line

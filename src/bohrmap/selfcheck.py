@@ -28,6 +28,7 @@ from .radii import VARIANT_TABLE, RadiusProblem, closed_form_radius, majorant_va
 from .series import (
     HarmonicMap,
     PowerSeries,
+    _check_param,
     _evaluate_rows,
     cauchy_product,
     circle_grid,
@@ -101,6 +102,7 @@ def _root_defined_problems():
 
 def run_selfcheck(quick: bool = False, perturb: float = 0.0) -> list[CheckResult]:
     """Run every check; returns one CheckResult per check, in fixed order."""
+    _check_param("perturb", perturb)
     results: list[CheckResult] = []
     order = 800 if quick else 2000
 

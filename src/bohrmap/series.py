@@ -71,6 +71,7 @@ _PARAM_RULES = (
     ("epsilon", lambda e: e > 0.0, "epsilon must be positive"),
     ("tail_constant", lambda C: C >= 0.0, "tail_constant must be >= 0"),
     ("tail_constant", math.isfinite, "tail_constant must be finite"),
+    ("perturb", math.isfinite, "perturb must be finite"),
 )
 
 
@@ -169,28 +170,25 @@ def _evaluate_rows(rows, z) -> np.ndarray:
     if not np.all(np.isfinite(zs)):
         raise ValueError("evaluation points must be finite")
     c = np.asarray(rows, dtype=np.complex128)
-    R, L = c.shape
-    P = zs.size
+    R, P = len(c), zs.size
     if R * P == 1:
         # numpy 2.4 multiplies a one-element complex array in place with
         # another loop, which rounds like Python's complex and differs from
         # the vector loop in the last bit of about two products in five
-        # (AVX-512 host); a 0-d product takes the vector loop's bits
-        acc, z0 = c[0, -1], zs.reshape(())
-        for coeff in c[0, -2::-1]:
-            acc = acc * z0 + coeff
-        return np.reshape(acc, (1,) + zs.shape)
-    zt = np.tile(zs.reshape(-1), R)
+        # (AVX-512 host); a lone value runs as two copies of itself, so that
+        # it takes the vector loop's bits
+        c = np.concatenate((c, c))
+    zt = np.tile(zs.reshape(-1), len(c))
     acc = np.repeat(c[:, -1], P)
     block = max(1, _ROWS_TABLE_VALUES // max(1, acc.size))
-    for top in range(L - 1, 0, -block):
+    for top in range(c.shape[1] - 1, 0, -block):
         # terms top - 1 down to lo, one row of the table each
         lo = max(top - block, 0)
         table = np.repeat(c[:, lo:top][:, ::-1].T, P, axis=1)
         for step in table:
             acc *= zt
             acc += step
-    return acc.reshape((R,) + zs.shape)
+    return acc[: R * P].reshape((R,) + zs.shape)
 
 
 def cauchy_product(f: PowerSeries, g: PowerSeries) -> PowerSeries:

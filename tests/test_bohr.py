@@ -326,10 +326,36 @@ class TestSumKernel:
             rs = np.linspace(0.0, 0.38, n + 1)[1:]
             assert _sums(moduli, rs) == full_horner(moduli, rs)
 
-    def test_any_head_length_gives_the_full_chain(self, monkeypatch):
+    @pytest.mark.parametrize("n", [1, 256])
+    def test_varying_head_before_a_constant_tail(self, n, monkeypatch):
+        # constant moduli from t + 1 on, t inside the head: with M - t
+        # constant terms to spare, the tail's fixed point seeds the t
+        # varying ones and no radius needs the full chain; with fewer, the
+        # tail's chain stops after its M - t steps
+        import bohrmap.bohr
+
+        def full_chain(moduli, rs):
+            raise AssertionError("the full chain ran")
+
+        rng = np.random.default_rng(0)
+        rs = np.linspace(0.0, 0.5, n + 1)[1:]
+        for M, t in ((400, 1), (400, 2), (400, 5), (400, 20), (400, 40), (80, 40)):
+            moduli = np.full(M, 1.5)
+            moduli[:t] = rng.uniform(0.5, 3.0, t)
+            want = [s.hex() for s in full_horner(moduli, rs)]
+            with monkeypatch.context() as m:
+                if M == 400:
+                    m.setattr(bohrmap.bohr, "_full_chain", full_chain)
+                assert [s.hex() for s in _sums(moduli, rs)] == want
+
+    @pytest.mark.parametrize("name, k", [("f0_sharp", None), ("half_plane_analytic", None),
+                                         ("q_k", 0.5)], ids=["f0_sharp", "half_plane", "q_k"])
+    def test_any_head_length_gives_the_full_chain(self, monkeypatch, name, k):
         # radii the sandwich leaves open run the full chain, and a closed one
         # is right however short the head: a seed below the bound would
-        # close some radius on a wrong float at some head length
+        # close some radius on a wrong float at some head length.  On a
+        # constant tail a radius still rising at the end of a short head
+        # opens, and one that closes has reached its fixed point
         import bohrmap.bohr
 
         full_chain, opened = bohrmap.bohr._full_chain, []
@@ -339,7 +365,7 @@ class TestSumKernel:
             return full_chain(moduli, rs)
 
         monkeypatch.setattr(bohrmap.bohr, "_full_chain", spy)
-        moduli = make_map(NamedMap("f0_sharp", order=2000)).coefficient_moduli()[1:]
+        moduli = make_map(NamedMap(name, k=k, order=2000)).coefficient_moduli()[1:]
         rs = np.linspace(0.0, 0.34, 256)
         want = full_horner(moduli, rs)
         for bits in range(65):
@@ -394,7 +420,7 @@ class TestOverflowIsRefused:
 
     @pytest.mark.parametrize("n", [8, 256])
     def test_constant_tail_and_overflowing_moduli(self, n):
-        # the stationary chain of a constant tail, and |a_m| + |b_m| = inf
+        # the fixed-point seed of a constant tail, and |a_m| + |b_m| = inf
         with pytest.raises(ValueError, match="overflows"):
             _sums(np.full(50, 1e308), np.linspace(0.0, 0.9, n))
         huge = PowerSeries([0.0, 1e308, 1.0])

@@ -248,6 +248,34 @@ class TestImageCurve:
         assert last == f"bohrmap: error: cannot write --out {target}: No such file or directory"
         assert "Traceback" not in captured.err
 
+    def test_unwritable_out_is_refused_before_the_command_runs(self, capsys, tmp_path,
+                                                               monkeypatch):
+        import bohrmap.subordination
+
+        def campaign(**kwargs):
+            raise AssertionError("the campaign ran")
+
+        monkeypatch.setattr(bohrmap.subordination, "domination_campaign", campaign)
+        for target, reason in ((tmp_path / "missing" / "x.json", "No such file or directory"),
+                               (tmp_path, "Is a directory")):
+            with pytest.raises(SystemExit) as exc:
+                main(["subordination-campaign", "--cases", "200", "--out", str(target)])
+            assert exc.value.code == 2
+            last = capsys.readouterr().err.splitlines()[-1]
+            assert last == f"bohrmap: error: cannot write --out {target}: {reason}"
+
+    def test_usage_error_leaves_out_untouched(self, capsys, tmp_path):
+        # the early --out check neither creates nor truncates the file
+        new, old = tmp_path / "x.json", tmp_path / "old.json"
+        old.write_text("kept\n")
+        for target in (new, old):
+            with pytest.raises(SystemExit) as exc:
+                main(["subordination-campaign", "--cases", "0", "--out", str(target)])
+            assert exc.value.code == 2
+        assert not new.exists()
+        assert old.read_text() == "kept\n"
+        capsys.readouterr()
+
 
 class TestCampaign:
     def test_small_campaign_json(self, capsys):

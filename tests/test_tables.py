@@ -32,6 +32,7 @@ from bohrmap import (
     monomial_schwarz,
     resolve_name,
     resolve_variant,
+    run_selfcheck,
     sharpness_scan,
     solve_radius,
     verify_inequality,
@@ -199,6 +200,9 @@ BAD_PARAMS = [
     ("tail_constant", np.nan, "tail_constant must be >= 0"),
     ("tail_constant", np.inf, "tail_constant must be finite"),
     ("tail_constant", True, "tail_constant must be >= 0"),
+    ("perturb", np.nan, "perturb must be finite"),
+    ("perturb", np.inf, "perturb must be finite"),
+    ("perturb", True, "perturb must be finite"),
 ]
 
 HALF_PLANE = make_map(NamedMap("half_plane_analytic", order=40))
@@ -254,6 +258,9 @@ BUILDERS = {
     "tail_constant": [
         lambda v: bohr_partial_sum(HALF_PLANE, 0.3, tail_constant=v),
         lambda v: verify_inequality(HALF_PLANE, THM211, tail_constant=v),
+    ],
+    "perturb": [
+        lambda v: run_selfcheck(quick=True, perturb=v),
     ],
 }
 
