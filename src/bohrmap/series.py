@@ -5,9 +5,9 @@ checks, subordination) runs on the two containers defined here: a
 ``PowerSeries`` holding coefficients c_0..c_M, and a ``HarmonicMap`` pairing
 an analytic part h with a co-analytic part g so that f = h + conj(g).
 
-All arithmetic is truncation-exact: a product or composition of series known
-to order M is returned with every coefficient up to the result order equal to
-the coefficient of the exact (infinite) operation.
+All arithmetic is truncation-exact: a product or composition of series f and
+psi has every coefficient through min(f.order, psi.order) equal to that of
+the exact (infinite) operation, whatever order the result is asked for.
 """
 
 from __future__ import annotations
@@ -19,14 +19,6 @@ import numpy as np
 
 DEFAULT_ORDER = 2000
 DEFAULT_COMPOSE_ORDER = 200
-# Power tables kept by ``_powers``: every caller composes with one inner
-# series at a time, and at order 200 a table is about 690 KB, nearly all of
-# it the n x n giant-step matrix.
-POWER_TABLE_CACHE = 1
-# Composites kept by ``_composite``: a subordination check composes several
-# series with one inner series, and composes some of them twice.  At order
-# 200 a composite is 3 KB.
-COMPOSITE_CACHE = 8
 
 
 def _is_bool(value) -> bool:
@@ -86,10 +78,11 @@ class PowerSeries:
     """Coefficients c_0..c_M of sum c_m z^m, stored as complex128.
 
     The coefficient array is copied on construction and frozen; series are
-    value objects and every operation returns a new one.
+    value objects and every operation returns a new one.  ``==``, ``hash``
+    and immutability ignore ``_memo``, what ``compose`` keeps on its psi.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_memo")
 
     def __init__(self, coeffs):
         arr = np.array(coeffs, dtype=np.complex128, copy=True).reshape(-1)
@@ -99,6 +92,7 @@ class PowerSeries:
             raise ValueError("series coefficients must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "coeffs", arr)
+        object.__setattr__(self, "_memo", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("PowerSeries is immutable")
@@ -235,39 +229,37 @@ def compose(f: PowerSeries, psi: PowerSeries, order: int) -> PowerSeries:
     convolution with psi^s as one BLAS call.  That is about 2 sqrt(n)
     products of length n, O(n^2.5) in all, where Horner over psi itself
     needs n convolutions, O(n^3).  Every product is truncated to ``order``.
-    The power table is built once per (psi, n, s), and the composite once
-    per (f, psi, order), both keyed by value; later calls reuse them.
+    psi's ``_memo`` keeps its power table per (n, s) and the composite per
+    (f, order), f keyed by value, for later calls; both are freed with psi.
     """
     if psi.coeffs[0] != 0:
         raise ValueError("inner series must satisfy psi(0) == 0")
     _check_count("order", order, 0)
-    return _composite(f, psi, order)
+    memo = psi._memo
+    composite = memo.get((f, order))
+    if composite is None:
+        n = order + 1
+        fc = f.coeffs[:n]
+        s = math.isqrt(len(fc))
+        if (n, s) not in memo:
+            memo[n, s] = _powers(psi, n, s)
+        baby, giant = memo[n, s]
+        blocks = np.zeros(-(-len(fc) // s) * s, dtype=np.complex128)
+        blocks[: len(fc)] = fc
+        inner = blocks.reshape(-1, s) @ baby
+        acc = inner[-1]
+        for j in range(len(inner) - 2, -1, -1):
+            acc = acc @ giant + inner[j]
+        composite = memo[f, order] = PowerSeries(acc)
+    return composite
 
 
-@functools.lru_cache(maxsize=COMPOSITE_CACHE)
-def _composite(f: PowerSeries, psi: PowerSeries, order: int) -> PowerSeries:
-    """compose(f, psi, order) after its checks; the result is immutable."""
-    n = order + 1
-    fc = f.coeffs[:n]
-    s = math.isqrt(len(fc))
-    baby, giant = _powers(psi, n, s)
-    blocks = np.zeros(-(-len(fc) // s) * s, dtype=np.complex128)
-    blocks[: len(fc)] = fc
-    inner = blocks.reshape(-1, s) @ baby
-    acc = inner[-1]
-    for j in range(len(inner) - 2, -1, -1):
-        acc = acc @ giant + inner[j]
-    return PowerSeries(acc)
-
-
-@functools.lru_cache(maxsize=POWER_TABLE_CACHE)
 def _powers(psi: PowerSeries, n: int, s: int) -> tuple[np.ndarray, np.ndarray]:
     """Baby steps psi^0..psi^(s-1) as an (s x n) matrix, and giant step psi^s
     as the (n x n) matrix G with G[t, i] = (psi^s)_(i-t), zero below the diagonal.
 
     Every power is truncated to n coefficients, and so is a @ G, the
-    product of a with psi^s.  Both arrays are shared by every call with an
-    equal (psi, n, s), so they are read-only.
+    product of a with psi^s.  psi's memo shares both, so they are read-only.
     """
     pc = psi.coeffs[:n]
     baby = np.zeros((s, n), dtype=np.complex128)

@@ -7,10 +7,10 @@ Schwarz functions (monomials, and seeded random draws of rotated
 Blaschke-type products), composes catalog maps with them, and measures
 the domination margin empirically.
 
-Compositions work at order 200.  At the radii involved (r <= 1/3 for the
-domination statements, with Blaschke zeros drawn with modulus <= 0.8) the
-dropped tails are far below 1e-12, which the stated -1e-9 margin tolerance
-absorbs.
+Subordinates compose at order min(f.order, DEFAULT_COMPOSE_ORDER), the
+campaign at its ``--order``.  At r <= 1/3 (the domination statements), with
+Blaschke zeros drawn with modulus <= 0.8, the dropped tails are far below
+1e-12, which the stated -1e-9 margin tolerance absorbs.
 """
 
 from __future__ import annotations

@@ -1,9 +1,11 @@
 """Truncated power series arithmetic."""
 
+import gc
 import math
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -412,35 +414,53 @@ class TestComposeAgainstConvolveStep:
         assert worst <= 1e-14
 
 
+@pytest.fixture
+def builds(monkeypatch):
+    """(n, s) of every power table compose builds, with a weak reference to
+    its giant-step matrix, in build order."""
+    built, real = [], series._powers
+
+    def counted(psi, n, s):
+        baby, giant = real(psi, n, s)
+        built.append(((n, s), weakref.ref(giant)))
+        return baby, giant
+
+    monkeypatch.setattr(series, "_powers", counted)
+    return built
+
+
 class TestPowerTableReuse:
     """A reused power table gives every composite bit for bit."""
 
-    def test_interleaved_fs_orders_and_lengths(self):
+    def test_interleaved_fs_orders_and_lengths(self, builds):
         rng = np.random.default_rng(7)
         f_long, psi = random_pair(rng, 61, 61)
         f_short, _ = random_pair(rng, 30, 1)
-        series._powers.cache_clear()
-        series._composite.cache_clear()
+        first = {}
         # (order, len f) = (60, 61), (60, 30), (40, 61), (40, 30): s = 7, 5, 6, 5
         for _ in range(2):
             for order in (60, 40):
                 for f in (f_long, f_short):
                     assert_same_as_uncached(f, psi, order)
                     assert_matches_horner(f, psi, order)
+                    comp = first.setdefault((id(f), order), compose(f, psi, order))
+                    assert compose(f, psi, order) is comp
         # each table is built by the first composite that needs it; every
         # later call finds the composite itself
-        tables, composites = series._powers.cache_info(), series._composite.cache_info()
-        assert (tables.misses, tables.hits) == (4, 0)
-        assert (composites.misses, composites.hits) == (4, 12)
+        assert [key for key, _ in builds] == [(61, 7), (61, 5), (41, 6), (41, 5)]
+        assert len(psi._memo) == 4 + 4
 
-    def test_equal_valued_copy_of_inner_series(self):
+    def test_equal_valued_copy_of_inner_series(self, builds):
         rng = np.random.default_rng(8)
         f, psi = random_pair(rng, 50, 50)
         twin = PowerSeries(np.array(psi.coeffs))
-        assert twin is not psi and twin == psi
+        assert twin is not psi and twin == psi and hash(twin) == hash(psi)
         assert_same_as_uncached(f, psi, 49)
         assert_same_as_uncached(f, twin, 49)
-        assert series._powers(twin, 50, 7)[0] is series._powers(psi, 50, 7)[0]
+        # the memo follows the object: the copy builds its own table
+        assert [key for key, _ in builds] == [(50, 7), (50, 7)]
+        assert compose(f, twin, 49) is not compose(f, psi, 49)
+        assert twin._memo.keys() == psi._memo.keys()
 
     def test_campaign_bases_and_subordinates_over_200_seeds(self):
         m = np.arange(0.0, 201.0)
@@ -458,11 +478,11 @@ class TestPowerTableReuse:
         assert neg == pos and hash(neg) == hash(pos)
         assert PowerSeries([complex(-0.0, -0.0)]) == PowerSeries([0.0])
         assert hash(PowerSeries([complex(-0.0, -0.0)])) == hash(PowerSeries([0.0]))
-        f = PowerSeries([1.0, 2.0, 3.0])
-        series._composite.cache_clear()
-        assert compose(f, neg, 2) is compose(f, pos, 2)
-        info = series._composite.cache_info()
-        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+        # f is keyed by value, so outer series that differ only in the sign
+        # of a zero share one composite
+        psi = PowerSeries([0.0, 0.5, 0.25])
+        assert compose(neg, psi, 2) is compose(pos, psi, 2)
+        assert len(psi._memo) == 1 + 1
 
     def test_tables_are_read_only(self):
         psi = random_schwarz(3, 4).series
@@ -479,23 +499,47 @@ class TestPowerTableReuse:
         assert giant[t <= i].tobytes() == power[(i - t)[t <= i]].tobytes()
         assert not np.any(giant[t > i])
 
-    def test_table_cache_holds_one_entry(self):
-        assert series.POWER_TABLE_CACHE == 1
+    def test_alternating_inner_series_build_one_table_each(self, builds):
         koebe = PowerSeries(np.arange(0.0, 201.0))
         psis = [random_schwarz(seed, 4).series for seed in (1, 2)]
-        first = [compose(koebe, psi, 200).coeffs.tobytes() for psi in psis]
-        series._powers.cache_clear()
         for _ in range(3):
-            for psi, want in zip(psis, first):
-                series._composite.cache_clear()
-                assert compose(koebe, psi, 200).coeffs.tobytes() == want
-                assert series._powers.cache_info().currsize == 1
-        # every alternation rebuilt the other inner series' table
-        assert series._powers.cache_info().misses == 6
+            for psi in psis:
+                want = uncached_compose(koebe, psi, 200)
+                assert compose(koebe, psi, 200).coeffs.tobytes() == want.tobytes()
+        assert [key for key, _ in builds] == [(201, 14)] * 2
+
+    def test_memo_does_not_change_equality_hash_or_immutability(self):
+        psi = random_schwarz(4, 3).series
+        before = hash(psi)
+        compose(PowerSeries(np.arange(0.0, 201.0)), psi, 200)
+        assert psi._memo and hash(psi) == before
+        assert psi == PowerSeries(psi.coeffs)
+        with pytest.raises(AttributeError):
+            psi._memo = {}
+
+    def test_table_is_freed_with_its_inner_series(self, builds):
+        psi = random_schwarz(6, 5)
+        compose(PowerSeries(np.arange(0.0, 201.0)), psi.series, 200)
+        (_, giant), = builds
+        assert giant() is not None
+        del psi
+        gc.collect()
+        assert giant() is None
+
+    def test_campaign_never_holds_two_tables(self, monkeypatch, builds):
+        counted = series._powers
+
+        def one_at_a_time(psi, n, s):
+            assert all(giant() is None for _, giant in builds)
+            return counted(psi, n, s)
+
+        monkeypatch.setattr(series, "_powers", one_at_a_time)
+        bohrmap.domination_campaign(seeds=range(4))
+        assert [key for key, _ in builds] == [(201, 14)] * 4
 
 
 def composite_pool():
-    """12 (f, psi, order) triples, more than the composite cache holds."""
+    """12 (f, psi, order) triples over two inner series."""
     rng = np.random.default_rng(11)
     fs = [random_pair(rng, 41, 1)[0] for _ in range(3)]
     psis = [random_pair(rng, 1, 41)[1] for _ in range(2)]
@@ -506,17 +550,23 @@ POOL = composite_pool()
 
 
 class TestCompositeReuse:
-    """A composite found in the cache is the composite computed afresh."""
+    """A composite found in the memo is the composite computed afresh."""
 
-    def test_interleaved_sequence_longer_than_the_cache(self):
-        assert len(POOL) > series.COMPOSITE_CACHE
-        series._composite.cache_clear()
-        for i in np.random.default_rng(12).integers(0, len(POOL), 5 * len(POOL)):
-            assert_same_as_uncached(*POOL[i])
-        # some calls were served from the cache, and some entries were
-        # evicted and computed again
-        info = series._composite.cache_info()
-        assert info.hits > 0 and info.misses > len(POOL)
+    def test_interleaved_sequence_builds_each_composite_once(self, builds):
+        pool = composite_pool()  # fresh inner series, with empty memos
+        picks = np.random.default_rng(12).integers(0, len(pool), 5 * len(pool))
+        first = {}
+        for i in picks:
+            assert_same_as_uncached(*pool[i])
+            comp = first.setdefault(i, compose(*pool[i]))
+            assert compose(*pool[i]) is comp
+        # one table per (psi, n, s) that a pick needed: s = 6 at order 40
+        # and 5 at order 25
+        tables = {(id(pool[i][1]), pool[i][2]) for i in picks}
+        assert len(builds) == len(tables)
+        # each memo holds its tables and one composite per (f, order) picked
+        memos = sum(len(pool[i][1]._memo) for i in (0, 2))  # psi0, psi1
+        assert memos == len(tables) + len(set(picks.tolist()))
 
     @given(st.lists(st.integers(0, len(POOL) - 1), min_size=1, max_size=40))
     @settings(max_examples=40, deadline=None)
@@ -524,16 +574,31 @@ class TestCompositeReuse:
         for i in picks:
             assert_same_as_uncached(*POOL[i])
 
-    def test_subordinate_reuses_the_domination_checks_composite(self):
+    def test_campaign_item_builds_one_table_and_reuses_one_composite(
+        self, monkeypatch, builds
+    ):
+        calls = []
+        real = subordination.compose
+
+        def counted(f, psi, order):
+            calls.append(order)
+            return real(f, psi, order)
+
+        monkeypatch.setattr(subordination, "compose", counted)
         psi = random_schwarz(5, 6)
         koebe = make_map(NamedMap("koebe_analytic", order=200)).h
+        half = make_map(NamedMap("half_plane_analytic", order=200)).h
         pk = make_map(NamedMap("p_k", k=0.4, order=200))
         assert pk.h == koebe
-        series._composite.cache_clear()
         bohrmap.check_domination(koebe, psi)
+        bohrmap.check_domination(half, psi)
         sub = bohrmap.subordinate(pk, psi)
-        info = series._composite.cache_info()
-        assert (info.misses, info.hits) == (2, 1)  # koebe o psi, then g o psi
+        # four compositions: one table, and koebe o psi built once for two
+        assert calls == [200] * 4
+        assert [key for key, _ in builds] == [(201, 14)]
+        memo = psi.series._memo
+        assert memo.keys() == {(201, 14), (koebe, 200), (half, 200), (pk.g, 200)}
+        assert sub.h is memo[koebe, 200]
         assert sub.h.coeffs.tobytes() == uncached_compose(koebe, psi.series, 200).tobytes()
         assert sub.g.coeffs.tobytes() == uncached_compose(pk.g, psi.series, 200).tobytes()
 
