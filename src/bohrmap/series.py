@@ -79,7 +79,7 @@ class PowerSeries:
 
     The coefficient array is copied on construction and frozen; series are
     value objects and every operation returns a new one.  ``==``, ``hash``
-    and immutability ignore ``_memo``, what ``compose`` keeps on its psi.
+    and immutability ignore ``_memo``, kept by ``compose`` and ``check_domination``.
     """
 
     __slots__ = ("coeffs", "_memo")
@@ -321,6 +321,8 @@ def _check_circle(radius: float, samples: int) -> None:
     _check_count("samples", samples, 1)
 
 
+# A 4,096-point build takes 90-150 us, which every boundary_reach call of a
+# verify item would pay again without the cache.
 @functools.lru_cache(maxsize=4)
 def _unit_roots(samples: int) -> np.ndarray:
     """exp(2 pi i j / samples), j = 0..samples-1, shared by every caller, so read-only.

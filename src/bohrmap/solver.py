@@ -22,8 +22,12 @@ WIDTH_TOL = 1e-13
 RESIDUAL_TOL = 1e-9
 MONOTONE_GRID = 1000
 _MAX_ITERATIONS = 200
-# Bisection certificates kept by ``_bisection_certificate``: one verification
-# solves the same problem for its profile, its sharpness scan and its report.
+# Bisection certificates kept by ``_bisection_certificate``, keyed by value.
+# One verification solves the same problem for its profile, its sharpness
+# scan and its report, which a memo on the problem could serve; but each
+# verify item and each selfcheck check builds its own RadiusProblem, and
+# the reuse across those objects is worth 11-20% of in-process verify
+# goodput (ROADMAP item 9 has the measurement).
 CERTIFICATE_CACHE = 16
 
 

@@ -8,14 +8,13 @@ Blaschke-type products), composes catalog maps with them, and measures
 the domination margin empirically.
 
 Subordinates compose at order min(f.order, DEFAULT_COMPOSE_ORDER), the
-campaign at its ``--order``.  At r <= 1/3 (the domination statements), with
-Blaschke zeros drawn with modulus <= 0.8, the dropped tails are far below
-1e-12, which the stated -1e-9 margin tolerance absorbs.
+campaign at its ``--order``.  At r <= 1/3, with Blaschke zeros of modulus
+<= 0.8, the dropped tails are estimated far below 1e-12, well inside the
+-1e-9 margin tolerance; nothing bounds them yet (ROADMAP item 3).
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,9 +43,6 @@ DOMINATION_TOL = 1e-9
 # The radii check_domination compares the two Bohr sums at.
 DOMINATION_GRID = np.linspace(1.0 / 48.0, 1.0 / 3.0, 16)
 DOMINATION_GRID.setflags(write=False)
-# Base-series Bohr sums kept by ``_base_sums``: a campaign checks every
-# Schwarz function against the same few bases.
-BASE_SUM_CACHE = 8
 
 
 @dataclass(frozen=True)
@@ -145,29 +141,25 @@ def check_domination(f: PowerSeries, psi: SchwarzFunction, M: int | None = None)
     """Worst margin of sum |a_m| r^m - sum |(f o psi)_m| r^m over DOMINATION_GRID.
 
     The grid sits in (0, 1/3], where subordination forces the composite
-    sum below the original.  A margin >= -DOMINATION_TOL counts as holding;
-    anything lower is a genuine counterexample to the implementation.
+    sum below the original; f keeps its own sums per M in its ``_memo``.
+    A margin below -DOMINATION_TOL is a counterexample to the implementation.
     """
     if M is None:
         M = min(f.order, DEFAULT_COMPOSE_ORDER)
     _check_count("M", M, 0)
-    base = _base_sums(f, M)
+    key = ("domination sums", M)
+    if key not in f._memo:
+        f._memo[key] = tuple(_sums(np.abs(f.truncated(M).coeffs[1:]), DOMINATION_GRID))
     composed = _sums(np.abs(compose(f, psi.series, M).coeffs[1:]), DOMINATION_GRID)
-    return min(b - c for b, c in zip(base, composed))
-
-
-@functools.lru_cache(maxsize=BASE_SUM_CACHE)
-def _base_sums(f: PowerSeries, M: int) -> tuple[float, ...]:
-    """Bohr sums of f truncated to M on DOMINATION_GRID."""
-    return tuple(_sums(np.abs(f.truncated(M).coeffs[1:]), DOMINATION_GRID))
+    return min(b - c for b, c in zip(f._memo[key], composed))
 
 
 def check_harmonic_subordination_bound(f1: HarmonicMap, p: RadiusProblem) -> BohrProfile:
     """Bohr profile of a subordinate harmonic map up to the min-rule radius.
 
-    The radius is min(1/3, base radius of p).  Tail constant 0: the inputs
-    here are exact truncations whose dropped-tail contribution at r <= 1/3
-    is below 1e-12 at order 200.
+    The radius is min(1/3, base radius of p).  Tail constant 0: the dropped
+    tail of these order-200 truncations at r <= 1/3 is estimated below
+    1e-12, not bounded; Rogosinski's bound is still to come (ROADMAP item 3).
     """
     return verify_inequality(
         f1, p, map_id="subordinate", radius=min_rule_radius(p), tail_constant=0.0

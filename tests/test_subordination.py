@@ -1,5 +1,7 @@
 """Schwarz compositions and coefficient domination."""
 
+import importlib
+import pkgutil
 from fractions import Fraction
 
 import numpy as np
@@ -174,6 +176,74 @@ class TestDomination:
         want = min(b - c for b, c in zip(base, comp))
         got = check_domination(f, psi, M=M)
         assert abs(Fraction(got) - want) <= slack + Fraction(2 * order, 2**FRACTION_BITS)
+
+
+def package_lrus():
+    """Every LRU cache defined at the top level of a bohrmap module, by name."""
+    import bohrmap
+
+    found = {}
+    for info in pkgutil.iter_modules(bohrmap.__path__):
+        if info.name.startswith("_"):
+            continue
+        module = importlib.import_module(f"bohrmap.{info.name}")
+        for name, obj in vars(module).items():
+            if hasattr(obj, "cache_clear") and obj.__module__ == module.__name__:
+                found[f"{module.__name__}.{name}"] = obj
+    return found
+
+
+class TestBaseSumMemo:
+    KEY = ("domination sums", 200)
+
+    def test_campaign_and_subordinate_check_leave_every_lru_empty(self):
+        lrus = package_lrus()
+        assert {"bohrmap.series._unit_roots", "bohrmap.solver._bisection_certificate"} <= set(lrus)
+        for cache in lrus.values():
+            cache.cache_clear()
+        assert domination_campaign(seeds=range(4))["all_pass"]
+        p_k = make_map(NamedMap("p_k", k=0.5, order=200))
+        comp = subordinate(p_k, random_schwarz(5, 6))
+        prof = check_harmonic_subordination_bound(comp, RadiusProblem("thm23_subordination", K=3.0))
+        assert prof.all_pass
+        assert {name: cache.cache_info().currsize for name, cache in lrus.items()} == dict.fromkeys(lrus, 0)
+
+    def test_base_sums_are_built_once_per_base_object_and_order(self, monkeypatch):
+        builds = []
+
+        def spy(moduli, rs):
+            builds.append(moduli.copy())
+            return _sums(moduli, rs)
+
+        monkeypatch.setattr(subordination, "_sums", spy)
+        names = ("koebe_analytic", "half_plane_analytic")
+        base_moduli = [np.abs(make_map(NamedMap(n, order=200)).h.coeffs[1:]) for n in names]
+        domination_campaign(seeds=range(4), map_names=names)
+        is_base = [any(np.array_equal(m, b) for b in base_moduli) for m in builds]
+        # one composite per case, the two bases once for the whole campaign
+        assert (is_base.count(True), is_base.count(False)) == (2, 8)
+        assert is_base[:3] == [True, False, True]
+
+        builds.clear()
+        f = make_map(NamedMap("koebe_analytic", order=200)).h
+        psis = [random_schwarz(seed, 3) for seed in (1, 2)]
+        for psi in psis:
+            check_domination(f, psi)
+        check_domination(f, psis[0], M=60)
+        check_domination(f, psis[1], M=60)
+        # per M: the base once, then one composite per check
+        assert [len(m) for m in builds] == [200, 200, 200, 60, 60, 60]
+        assert {key for key in f._memo if key[0] == "domination sums"} == {self.KEY, ("domination sums", 60)}
+
+    def test_equal_bases_keep_their_own_sums_and_give_the_same_bits(self):
+        a = make_map(NamedMap("koebe_analytic", order=200)).h
+        b = PowerSeries(a.coeffs)
+        assert a == b and a is not b
+        for seed in range(6):
+            psi = random_schwarz(seed, 1 + seed % 8)
+            assert check_domination(a, psi).hex() == check_domination(b, psi).hex()
+        assert a._memo[self.KEY] == b._memo[self.KEY]
+        assert a._memo[self.KEY] is not b._memo[self.KEY]
 
 
 class TestHarmonicSubordinationBound:
