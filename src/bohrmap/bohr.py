@@ -35,13 +35,13 @@ _UNIT_ROUNDOFF = 2.0**-53
 _SMALLEST_SUBNORMAL = 2.0**-1074
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BohrProfile:
     """Grid of partial Bohr sums, tail bounds, and per-point verdicts.
 
-    M is the number of retained terms behind each computed sum; the
-    verdict adds ``_rounding_bound(sum, M)`` to sum + tail, and M = 0 takes
-    the sums as exact.
+    M is the number of retained terms behind each computed sum; the verdict
+    adds ``_rounding_bound(sum, M)`` to sum + tail, and M = 0 takes the sums
+    as exact.  Its arrays are read-only copies; profiles compare by identity.
     """
 
     map_id: str
@@ -53,9 +53,9 @@ class BohrProfile:
     verdicts: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        r = np.asarray(self.r_grid, dtype=np.float64)
-        sums = np.asarray(self.partial_sums, dtype=np.float64)
-        tails = np.asarray(self.tail_bounds, dtype=np.float64)
+        r = np.array(self.r_grid, dtype=np.float64)
+        sums = np.array(self.partial_sums, dtype=np.float64)
+        tails = np.array(self.tail_bounds, dtype=np.float64)
         if r.ndim != 1 or sums.shape != r.shape or tails.shape != r.shape:
             raise ValueError("grid, sums, and tails must be 1-d and equal length")
         # written as "all inside" so that NaN, which fails every comparison, is refused
@@ -71,6 +71,8 @@ class BohrProfile:
         object.__setattr__(self, "partial_sums", sums)
         object.__setattr__(self, "tail_bounds", tails)
         verdicts = sums + _rounding_bound(sums, self.M) + tails <= self.bound
+        for arr in (r, sums, tails, verdicts):
+            arr.setflags(write=False)
         object.__setattr__(self, "verdicts", verdicts)
 
     @property

@@ -1,7 +1,9 @@
 """Bohr inequality verification and sharpness."""
 
+import copy
 import json
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -172,6 +174,40 @@ class TestBohrProfile:
         assert set(d) == {
             "map_id", "r_grid", "partial_sums", "tail_bounds", "bound", "verdicts",
         }
+
+    def test_keeps_its_own_copy_of_the_callers_arrays(self):
+        r, sums = np.array([0.0, 0.1, 0.2]), np.array([0.0, 0.5, 1.2])
+        prof = BohrProfile("t", r, sums, np.zeros(3), 1.0)
+        r[2], sums[2] = 0.05, 0.7
+        assert prof.r_grid.tolist() == [0.0, 0.1, 0.2]
+        assert prof.partial_sums.tolist() == [0.0, 0.5, 1.2]
+        assert prof.verdicts.tolist() == [True, True, False]
+
+    def test_arrays_are_read_only(self):
+        prof = BohrProfile("t", np.array([0.0, 0.1]), np.zeros(2), np.zeros(2), 1.0)
+        with pytest.raises(ValueError):
+            prof.partial_sums[0] = 2.0
+        for name in ("r_grid", "tail_bounds", "verdicts"):
+            assert not getattr(prof, name).flags.writeable, name
+
+    @pytest.mark.parametrize(
+        "trip",
+        [copy.copy, copy.deepcopy]
+        + [lambda x, p=p: pickle.loads(pickle.dumps(x, p))
+           for p in range(pickle.HIGHEST_PROTOCOL + 1)],
+    )
+    def test_round_trips_through_copy_and_pickle(self, trip):
+        prof = BohrProfile("t", np.array([0.0, 0.3]), np.array([0.0, 0.9]),
+                           np.array([0.0, 0.1 - 1e-14]), 1.0, M=2000)
+        twin = trip(prof)
+        assert twin.to_dict() == prof.to_dict() and twin.M == prof.M
+        assert twin.verdicts.tolist() == [True, False]
+
+    def test_compares_by_identity_and_is_hashable(self):
+        prof = BohrProfile("t", np.array([0.0, 0.1]), np.zeros(2), np.zeros(2), 1.0)
+        twin = copy.deepcopy(prof)
+        assert prof == prof and prof != twin
+        assert len({prof, twin, prof}) == 2
 
 
 class TestVerifyInequality:

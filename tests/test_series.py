@@ -1,8 +1,12 @@
 """Truncated power series arithmetic."""
 
+import copy
+import dataclasses
 import gc
+import importlib
 import math
 import os
+import pickle
 import subprocess
 import sys
 import weakref
@@ -713,6 +717,79 @@ class TestHarmonicMap:
         f = HarmonicMap(PowerSeries([0.0, 1.0]), PowerSeries([0.0, 0.5]))
         z = 0.2 + 0.1j
         assert eval_harmonic(f, z) == pytest.approx(z + np.conj(0.5 * z))
+
+
+# copy.copy, copy.deepcopy and a pickle round trip at every protocol
+ROUND_TRIPS = {"copy": copy.copy, "deepcopy": copy.deepcopy} | {
+    f"pickle{p}": lambda x, p=p: pickle.loads(pickle.dumps(x, p))
+    for p in range(pickle.HIGHEST_PROTOCOL + 1)
+}
+
+
+class TestRecords:
+    """Series and maps are frozen dataclasses, which copy and pickle."""
+
+    @pytest.mark.parametrize("trip", ROUND_TRIPS.values(), ids=ROUND_TRIPS.keys())
+    def test_series_with_a_filled_memo_round_trips(self, trip):
+        koebe = PowerSeries(np.arange(0.0, 201.0))
+        psi = random_schwarz(4, 3).series
+        want = compose(koebe, psi, 200).coeffs
+        assert psi._memo
+        twin = trip(psi)
+        assert twin is not psi and twin == psi and hash(twin) == hash(psi)
+        assert not twin.coeffs.flags.writeable
+        assert twin._memo == {}
+        assert compose(koebe, twin, 200).coeffs.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("trip", ROUND_TRIPS.values(), ids=ROUND_TRIPS.keys())
+    def test_harmonic_map_round_trips(self, trip):
+        f = make_map(NamedMap("p_k", k=0.5))
+        twin = trip(f)
+        assert isinstance(twin, HarmonicMap) and twin is not f
+        assert twin.h == f.h and twin.g == f.g
+        assert not (twin.h.coeffs.flags.writeable or twin.g.coeffs.flags.writeable)
+        z = [0.3, 0.2 + 0.4j]
+        assert eval_harmonic(twin, z).tobytes() == eval_harmonic(f, z).tobytes()
+
+    @pytest.mark.parametrize("trip", ROUND_TRIPS.values(), ids=ROUND_TRIPS.keys())
+    def test_schwarz_function_round_trips(self, trip):
+        psi = random_schwarz(4, 3)
+        twin = trip(psi)
+        assert twin == psi and hash(twin) == hash(psi)
+        assert not twin.series.coeffs.flags.writeable
+
+    def test_harmonic_map_is_frozen_and_compares_by_identity(self):
+        f = make_map(NamedMap("p_k", k=0.5))
+        for name in ("h", "g"):
+            with pytest.raises(AttributeError):
+                setattr(f, name, f.h)
+        same = HarmonicMap(f.h, f.g)
+        assert f == f and f != same
+        assert len({f, same, f}) == 2
+
+    def test_series_fields_name_only_the_coefficients(self):
+        psi = random_schwarz(4, 3).series
+        compose(PowerSeries(np.arange(0.0, 201.0)), psi, 200)
+        assert [field.name for field in dataclasses.fields(PowerSeries)] == ["coeffs"]
+        assert dataclasses.asdict(psi).keys() == {"coeffs"}
+        other = dataclasses.replace(psi, coeffs=[0.0, 0.5])
+        assert other == PowerSeries([0.0, 0.5]) and other._memo == {}
+
+    def test_every_record_is_a_frozen_dataclass(self):
+        modules = [
+            importlib.import_module(f"bohrmap.{name}")
+            for name in ("bohr", "catalog", "cli", "dilatation", "radii",
+                         "selfcheck", "series", "solver", "subordination")
+        ]
+        records = [
+            cls
+            for module in modules
+            for cls in vars(module).values()
+            if isinstance(cls, type) and cls.__module__ == module.__name__
+        ]
+        assert len(records) == 12
+        for cls in records:
+            assert dataclasses.is_dataclass(cls) and cls.__dataclass_params__.frozen, cls
 
 
 def _frozen_circle_grid(radius, samples):
