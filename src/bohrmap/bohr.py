@@ -12,7 +12,7 @@ the computed sum, so a pass is a proof at that point, not an estimate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -41,7 +41,8 @@ class BohrProfile:
 
     M is the number of retained terms behind each computed sum; the verdict
     adds ``_rounding_bound(sum, M)`` to sum + tail, and M = 0 takes the sums
-    as exact.  Its arrays are read-only copies; profiles compare by identity.
+    as exact.  Its arrays are read-only copies, and a copy or pickle is rebuilt
+    by the constructor; profiles compare by identity.
     """
 
     map_id: str
@@ -67,13 +68,14 @@ class BohrProfile:
             raise ValueError("tail bounds must be nonnegative")
         _check_param("bound", self.bound)
         _check_count("M", self.M, 0)
-        object.__setattr__(self, "r_grid", r)
-        object.__setattr__(self, "partial_sums", sums)
-        object.__setattr__(self, "tail_bounds", tails)
         verdicts = sums + _rounding_bound(sums, self.M) + tails <= self.bound
-        for arr in (r, sums, tails, verdicts):
+        arrays = {"r_grid": r, "partial_sums": sums, "tail_bounds": tails, "verdicts": verdicts}
+        for name, arr in arrays.items():
             arr.setflags(write=False)
-        object.__setattr__(self, "verdicts", verdicts)
+            object.__setattr__(self, name, arr)
+
+    def __reduce__(self):
+        return BohrProfile, tuple(getattr(self, f.name) for f in fields(self) if f.init)
 
     @property
     def all_pass(self) -> bool:

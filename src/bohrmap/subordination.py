@@ -2,10 +2,10 @@
 
 A Schwarz function is an analytic self-map of the disk fixing the origin.
 Composition with one produces a subordinate map, and subordinates inherit
-coefficient-majorant domination at r <= 1/3.  This module builds checkable
-Schwarz functions (monomials, and seeded random draws of rotated
-Blaschke-type products), composes catalog maps with them, and measures
-the domination margin empirically.
+coefficient-majorant domination at r <= 1/3.  This module builds Schwarz
+functions (monomials, and seeded random draws of rotated Blaschke-type
+products), every one past SchwarzFunction's sup check, composes catalog
+maps with them, and measures the domination margin empirically.
 
 Subordinates compose at order min(f.order, DEFAULT_COMPOSE_ORDER), the
 campaign at its ``--order``.  At r <= 1/3, with Blaschke zeros of modulus
@@ -45,29 +45,26 @@ DOMINATION_GRID = np.linspace(1.0 / 48.0, 1.0 / 3.0, 16)
 DOMINATION_GRID.setflags(write=False)
 
 
-@dataclass(frozen=True)
-class SchwarzFunction:
-    """A Schwarz function as a truncated series plus a readable description.
-
-    For seeded random draws the description names the seed and degree, so
-    campaign reports stay reproducible.
-    """
-
-    series: PowerSeries
-    description: str
-
-
 def schwarz_sup(psi: PowerSeries) -> float:
     """max |psi| over 256 equispaced points on |z| = 0.999."""
     return float(np.max(np.abs(evaluate_on_circle(psi, SCHWARZ_RADIUS, SCHWARZ_GRID))))
 
 
-def _checked(series: PowerSeries, description: str) -> SchwarzFunction:
-    """``series`` as a Schwarz function, once its sup on |z| = 0.999 is <= 1."""
-    sup = schwarz_sup(series)
-    if sup > 1.0 + SCHWARZ_SUP_TOL:
-        raise ValueError(f"Schwarz check failed for {description}: sup {sup!r} > 1")
-    return SchwarzFunction(series=series, description=description)
+@dataclass(frozen=True)
+class SchwarzFunction:
+    """A truncated series plus a readable description, checked as a Schwarz function.
+
+    However it is built, it refuses a series whose sup on |z| = 0.999 exceeds
+    1 + SCHWARZ_SUP_TOL; a seeded draw's description names its seed and degree.
+    """
+
+    series: PowerSeries
+    description: str
+
+    def __post_init__(self):
+        sup = schwarz_sup(self.series)
+        if sup > 1.0 + SCHWARZ_SUP_TOL:
+            raise ValueError(f"Schwarz check failed for {self.description}: sup {sup!r} > 1")
 
 
 def monomial_schwarz(c: complex, j: int) -> SchwarzFunction:
@@ -77,7 +74,7 @@ def monomial_schwarz(c: complex, j: int) -> SchwarzFunction:
     c = complex(c)
     coeffs = np.zeros(j + 1, dtype=np.complex128)
     coeffs[j] = c
-    return _checked(PowerSeries(coeffs), f"monomial(c={c:.6g}, j={j})")
+    return SchwarzFunction(PowerSeries(coeffs), f"monomial(c={c:.6g}, j={j})")
 
 
 def _blaschke_product(zeros: list[complex], rotation: float, order: int) -> PowerSeries:
@@ -118,7 +115,7 @@ def random_schwarz(
     angles = rng.uniform(0.0, 2.0 * np.pi, degree)
     zeros = [complex(w) for w in moduli * np.exp(1j * angles)]
     series = _blaschke_product(zeros, rotation, order)
-    return _checked(series, f"random(seed={seed}, degree={degree})")
+    return SchwarzFunction(series, f"random(seed={seed}, degree={degree})")
 
 
 def subordinate(f, psi: SchwarzFunction):
@@ -142,7 +139,8 @@ def check_domination(f: PowerSeries, psi: SchwarzFunction, M: int | None = None)
 
     The grid sits in (0, 1/3], where subordination forces the composite
     sum below the original; f keeps its own sums per M in its ``_memo``.
-    A margin below -DOMINATION_TOL is a counterexample to the implementation.
+    Every psi the type admits has passed its sup check, so a margin below
+    -DOMINATION_TOL is a counterexample to the implementation.
     """
     if M is None:
         M = min(f.order, DEFAULT_COMPOSE_ORDER)

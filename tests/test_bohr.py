@@ -202,6 +202,10 @@ class TestBohrProfile:
         twin = trip(prof)
         assert twin.to_dict() == prof.to_dict() and twin.M == prof.M
         assert twin.verdicts.tolist() == [True, False]
+        for name in ("r_grid", "partial_sums", "tail_bounds", "verdicts"):
+            assert not getattr(twin, name).flags.writeable, name
+        with pytest.raises(ValueError):
+            twin.partial_sums[1] = 5.0
 
     def test_compares_by_identity_and_is_hashable(self):
         prof = BohrProfile("t", np.array([0.0, 0.1]), np.zeros(2), np.zeros(2), 1.0)

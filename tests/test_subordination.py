@@ -1,6 +1,9 @@
 """Schwarz compositions and coefficient domination."""
 
+import copy
+import dataclasses
 import importlib
+import pickle
 import pkgutil
 from fractions import Fraction
 
@@ -13,6 +16,7 @@ from bohrmap import (
     NamedMap,
     PowerSeries,
     RadiusProblem,
+    SchwarzFunction,
     bohr_partial_sum,
     check_domination,
     check_harmonic_subordination_bound,
@@ -34,7 +38,7 @@ from test_series import uncached_compose
 def blaschke(zeros, rotation):
     """The order-200 Blaschke product random_schwarz draws, as a checked Schwarz function."""
     series = subordination._blaschke_product(zeros, rotation, 200)
-    return subordination._checked(series, f"blaschke({zeros}, {rotation})")
+    return SchwarzFunction(series, f"blaschke({zeros}, {rotation})")
 
 
 class TestSchwarzConstruction:
@@ -82,10 +86,16 @@ class TestSchwarzConstruction:
 
     def test_sup_on_raw_series(self):
         # sup over |z| = 0.999 of 1.2 z exceeds 1: such a series is not a
-        # Schwarz function and the constructors refuse to wrap it
-        assert schwarz_sup(PowerSeries([0.0, 1.2])) > 1.0
+        # Schwarz function and the record refuses it, however it is built
+        raw = PowerSeries([0.0, 1.2])
+        assert schwarz_sup(raw) > 1.0
         with pytest.raises(ValueError):
             monomial_schwarz(1.2, 1)
+        failed = "^Schwarz check failed for "
+        with pytest.raises(ValueError, match=failed + "raw: sup"):
+            SchwarzFunction(raw, "raw")
+        with pytest.raises(ValueError, match=failed):
+            dataclasses.replace(monomial_schwarz(0.5, 1), series=raw)
 
     def test_failed_check_is_a_value_error_naming_the_draw(self):
         # at order 20 the truncated product overshoots the unit circle
@@ -99,6 +109,10 @@ class TestSchwarzConstruction:
             subordination, "schwarz_sup", lambda s: calls.append(s) or schwarz_sup(s)
         )
         psi = random_schwarz(5, 3)
+        assert calls == [psi.series]
+        # a copy is rebuilt from values already checked and is not checked again
+        copy.deepcopy(psi)
+        pickle.loads(pickle.dumps(psi))
         assert calls == [psi.series]
 
 
