@@ -225,14 +225,18 @@ def compose(f: PowerSeries, psi: PowerSeries, order: int) -> PowerSeries:
     and s = isqrt(L), f(w) = sum_j B_j(w) w^(js) where B_j(w) = sum_{i<s}
     f_{js+i} w^i.  The baby steps psi^0..psi^(s-1) and the giant step psi^s
     take s truncated convolutions; every B_j(psi) comes out of one
-    (ceil(L/s) x s) @ (s x n) matrix product; Horner over psi^s takes
-    ceil(L/s) - 1 more steps, each one matrix-vector product with the n x n
-    upper-triangular Toeplitz matrix of psi^s, which is the truncated
-    convolution with psi^s as one BLAS call.  That is about 2 sqrt(n)
-    products of length n, O(n^2.5) in all, where Horner over psi itself
-    needs n convolutions, O(n^3).  Every product is truncated to ``order``.
-    psi's ``_memo`` keeps its power table per (n, s) and the composite per
-    (f, order), f keyed by value, for later calls; both are freed with psi.
+    (ceil(L/s) x s) @ (s x n) matrix product.  Horner over psi^s works on
+    the triangle: acc_j is later multiplied by psi^(js), which has a zero
+    of order js, so only its first n_j = n - js coefficients reach the
+    result.  With G the (n - s) x (n - s) upper-triangular Toeplitz matrix
+    of psi^s / z^s, step j keeps acc_j[:s] = B_j[:s] and sets acc_j[s:n_j]
+    = B_j[s:n_j] + acc_(j+1)[:n_j - s] @ G[:n_j - s, :n_j - s], one BLAS
+    call on a leading block of G.  The sums it drops are exact-zero
+    products, and the ceil(L/s) - 1 steps take about n^3 / (3s)
+    multiply-adds, O(n^2.5) in all, where Horner over psi itself needs n
+    convolutions, O(n^3).  psi's ``_memo`` keeps its power table per (n, s)
+    and the composite per (f, order), f keyed by value, for later calls;
+    both are freed with psi.
     """
     if psi.coeffs[0] != 0:
         raise ValueError("inner series must satisfy psi(0) == 0")
@@ -248,30 +252,34 @@ def compose(f: PowerSeries, psi: PowerSeries, order: int) -> PowerSeries:
         baby, giant = memo[n, s]
         blocks = np.zeros(-(-len(fc) // s) * s, dtype=np.complex128)
         blocks[: len(fc)] = fc
+        # row j becomes acc_j in place, its first n - js values
         inner = blocks.reshape(-1, s) @ baby
-        acc = inner[-1]
         for j in range(len(inner) - 2, -1, -1):
-            acc = acc @ giant + inner[j]
-        composite = memo[f, order] = PowerSeries(acc)
+            m = n - (j + 1) * s
+            inner[j, s : s + m] += inner[j + 1, :m] @ giant[:m, :m]
+        composite = memo[f, order] = PowerSeries(inner[0])
     return composite
 
 
 def _powers(psi: PowerSeries, n: int, s: int) -> tuple[np.ndarray, np.ndarray]:
     """Baby steps psi^0..psi^(s-1) as an (s x n) matrix, and giant step psi^s
-    as the (n x n) matrix G with G[t, i] = (psi^s)_(i-t), zero below the diagonal.
+    as the ((n - s) x (n - s)) matrix G with G[u, t] = (psi^s)_(s+t-u), zero
+    below the diagonal: the upper-triangular Toeplitz matrix of psi^s / z^s.
 
-    Every power is truncated to n coefficients, and so is a @ G, the
-    product of a with psi^s.  psi's memo shares both, so they are read-only.
+    Every power is truncated to n coefficients, so a @ G[:m, :m] is the
+    product of a with psi^s at powers s..s+m-1.  psi's memo shares both
+    tables, so they are read-only; G holds (n - s)^2 values.
     """
     pc = psi.coeffs[:n]
     baby = np.zeros((s, n), dtype=np.complex128)
     baby[0, 0] = 1.0
     for i in range(1, s):
         baby[i] = np.convolve(baby[i - 1], pc)[:n]
-    padded = np.zeros(2 * n - 1, dtype=np.complex128)
-    padded[n - 1 :] = np.convolve(baby[-1], pc)[:n]
-    # window k is padded[k : k + n], so window n - 1 - t is psi^s shifted right by t
-    giant = np.lib.stride_tricks.sliding_window_view(padded, n)[::-1].copy()
+    m = n - s
+    padded = np.zeros(2 * m, dtype=np.complex128)
+    padded[m:] = np.convolve(baby[-1], pc)[s:n]
+    # window k is padded[k : k + m], so window m - u is psi^s / z^s shifted right by u
+    giant = np.lib.stride_tricks.sliding_window_view(padded, m)[:0:-1].copy()
     baby.setflags(write=False)
     giant.setflags(write=False)
     return baby, giant

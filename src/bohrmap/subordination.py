@@ -28,7 +28,6 @@ from .series import (
     PowerSeries,
     _check_count,
     _check_param,
-    cauchy_product,
     compose,
     evaluate_on_circle,
 )
@@ -81,19 +80,19 @@ def _blaschke_product(zeros: list[complex], rotation: float, order: int) -> Powe
     """e^{i rotation} z prod_j (z - w_j)/(1 - conj(w_j) z) through ``order``.
 
     Each factor expands to c_0 = -w and c_m = conj(w)^{m-1} (1 - |w|^2) for
-    m >= 1; factors are multiplied out and truncated at ``order``.
+    m >= 1; factors are multiplied out on arrays, each product truncated at
+    ``order``, and the result becomes one series.
     """
     _check_count("order", order, max(2, len(zeros) + 1))
-    prefactor = np.zeros(order + 1, dtype=np.complex128)
-    prefactor[1] = np.exp(1j * float(rotation))
-    series = PowerSeries(prefactor)
+    product = np.zeros(order + 1, dtype=np.complex128)
+    product[1] = np.exp(1j * float(rotation))
     m = np.arange(1, order + 1)
     for w in zeros:
         factor = np.empty(order + 1, dtype=np.complex128)
         factor[0] = -w
         factor[1:] = np.conj(w) ** (m - 1) * (1.0 - abs(w) ** 2)
-        series = cauchy_product(series, PowerSeries(factor))
-    return series
+        product = np.convolve(product, factor)[: order + 1]
+    return PowerSeries(product)
 
 
 def random_schwarz(

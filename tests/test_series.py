@@ -355,8 +355,8 @@ class TestComposeAgainstHorner:
 
 
 def _baby_and_giant(f, psi, order):
-    """psi^0..psi^(s-1) and psi^s as compose() builds them, with the blocks
-    of f's coefficients that the baby steps turn into B_0(psi)..B_last(psi)."""
+    """B_0(psi)..B_last(psi) as compose() builds them from the baby steps
+    psi^0..psi^(s-1), with s and the giant step psi^s truncated to n."""
     n = order + 1
     fc, pc = f.coeffs[:n], psi.coeffs[:n]
     s = math.isqrt(len(fc))
@@ -367,19 +367,22 @@ def _baby_and_giant(f, psi, order):
     giant = np.convolve(baby[-1], pc)[:n]
     blocks = np.zeros(-(-len(fc) // s) * s, dtype=np.complex128)
     blocks[: len(fc)] = fc
-    return blocks.reshape(-1, s) @ baby, giant
+    return blocks.reshape(-1, s) @ baby, s, giant
 
 
 def uncached_compose(f, psi, order):
     """compose() without reuse: every call builds psi^0..psi^(s-1) and the
-    Toeplitz matrix of psi^s itself.  Reuse must reproduce it bit for bit."""
+    (n - s) x (n - s) Toeplitz matrix of psi^s / z^s itself, and step j of
+    Horner over psi^s keeps the n - js coefficients that reach the result.
+    Reuse must reproduce it bit for bit."""
     n = order + 1
-    inner, giant = _baby_and_giant(f, psi, order)
-    padded = np.r_[np.zeros(n - 1, dtype=np.complex128), giant]
-    matrix = np.lib.stride_tricks.sliding_window_view(padded, n)[::-1].copy()
-    acc = inner[-1]
+    inner, s, giant = _baby_and_giant(f, psi, order)
+    padded = np.r_[np.zeros(n - s, dtype=np.complex128), giant[s:]]
+    matrix = np.lib.stride_tricks.sliding_window_view(padded, n - s)[:0:-1].copy()
+    acc = inner[-1][: n - (len(inner) - 1) * s]
     for j in range(len(inner) - 2, -1, -1):
-        acc = acc @ matrix + inner[j]
+        m = len(acc)
+        acc = np.r_[inner[j][:s], inner[j][s : s + m] + acc @ matrix[:m, :m]]
     return acc
 
 
@@ -387,7 +390,7 @@ def convolve_step_compose(f, psi, order):
     """compose() as it was before its Horner step over psi^s became a
     matrix-vector product: each step is a full convolution, cut to n."""
     n = order + 1
-    inner, giant = _baby_and_giant(f, psi, order)
+    inner, _, giant = _baby_and_giant(f, psi, order)
     acc = inner[-1]
     for j in range(len(inner) - 2, -1, -1):
         acc = np.convolve(acc, giant)[:n] + inner[j]
@@ -404,18 +407,26 @@ class TestComposeAgainstConvolveStep:
     """The matrix-vector Horner step agrees with the convolution step it
     replaced to 1e-14 (max-norm relative), on the campaign's series."""
 
-    def test_campaign_series_over_200_seeds(self):
-        m = np.arange(0.0, 201.0)
+    @staticmethod
+    def worst_over(seeds, order):
+        m = np.arange(0.0, order + 1.0)
         outer = [PowerSeries(m), PowerSeries(np.minimum(m, 1.0))]  # Koebe, half-plane
-        outer += [make_map(NamedMap(name, k=0.6, order=200)).g for name in ("p_k", "q_k")]
+        outer += [make_map(NamedMap(name, k=0.6, order=order)).g for name in ("p_k", "q_k")]
         worst = 0.0
-        for seed in range(200):
-            psi = random_schwarz(seed, 1 + seed % 8).series
+        for seed in seeds:
+            psi = random_schwarz(seed, 1 + seed % 8, order=order).series
             for f in outer:
-                got = compose(f, psi, 200).coeffs
-                want = convolve_step_compose(f, psi, 200)
+                got = compose(f, psi, order).coeffs
+                want = convolve_step_compose(f, psi, order)
                 worst = max(worst, np.max(np.abs(got - want)) / np.max(np.abs(want)))
-        assert worst <= 1e-14
+        return worst
+
+    def test_campaign_series_over_200_seeds(self):
+        assert self.worst_over(range(200), 200) <= 1e-14
+
+    def test_campaign_series_at_order_1000(self):
+        # 32 Horner steps over psi^31, shrinking from 970 coefficients to 9
+        assert self.worst_over((1, 4, 7), 1000) <= 1e-14
 
 
 @pytest.fixture
@@ -491,17 +502,17 @@ class TestPowerTableReuse:
     def test_tables_are_read_only(self):
         psi = random_schwarz(3, 4).series
         baby, giant = series._powers(psi, 201, 14)
-        assert baby.shape == (14, 201) and giant.shape == (201, 201)
+        assert baby.shape == (14, 201) and giant.shape == (187, 187)
         assert not baby.flags.writeable and not giant.flags.writeable
         with pytest.raises(ValueError):
             baby[1, 1] = 0.0
         with pytest.raises(ValueError):
             giant[0, 0] = 1.0
-        # G[t, i] = (psi^s)_(i-t) on and above the diagonal, zero below it
+        # G[u, t] = (psi^s)_(s+t-u) on and above the diagonal, zero below it
         power = np.convolve(baby[-1], psi.coeffs)[:201]
-        t, i = np.indices(giant.shape)
-        assert giant[t <= i].tobytes() == power[(i - t)[t <= i]].tobytes()
-        assert not np.any(giant[t > i])
+        u, t = np.indices(giant.shape)
+        assert giant[u <= t].tobytes() == power[(14 + t - u)[u <= t]].tobytes()
+        assert not np.any(giant[u > t])
 
     def test_alternating_inner_series_build_one_table_each(self, builds):
         koebe = PowerSeries(np.arange(0.0, 201.0))
@@ -606,6 +617,33 @@ class TestCompositeReuse:
         assert sub.h.coeffs.tobytes() == uncached_compose(koebe, psi.series, 200).tobytes()
         assert sub.g.coeffs.tobytes() == uncached_compose(pk.g, psi.series, 200).tobytes()
 
+
+
+def chained_blaschke(zeros, rotation, order):
+    """_blaschke_product as it was: each partial product a PowerSeries,
+    multiplied by the next factor through cauchy_product."""
+    prefactor = np.zeros(order + 1, dtype=np.complex128)
+    prefactor[1] = np.exp(1j * float(rotation))
+    product = PowerSeries(prefactor)
+    m = np.arange(1, order + 1)
+    for w in zeros:
+        factor = np.empty(order + 1, dtype=np.complex128)
+        factor[0] = -w
+        factor[1:] = np.conj(w) ** (m - 1) * (1.0 - abs(w) ** 2)
+        product = cauchy_product(product, PowerSeries(factor))
+    return product
+
+
+def test_blaschke_product_on_arrays_keeps_the_chained_bits():
+    # random_schwarz's draws at degrees 0-8, 44 or 45 seeds each
+    for seed in range(400):
+        rng = np.random.default_rng(seed)
+        degree = seed % 9
+        rotation = rng.uniform(0.0, 2.0 * np.pi)
+        moduli = rng.uniform(0.0, subordination.MAX_BLASCHKE_MODULUS, degree)
+        zeros = [complex(w) for w in moduli * np.exp(2j * np.pi * rng.uniform(size=degree))]
+        got = subordination._blaschke_product(zeros, rotation, 200).coeffs
+        assert got.tobytes() == chained_blaschke(zeros, rotation, 200).coeffs.tobytes()
 
 
 # Each entry point that takes a count (an order, term count, sample count,
