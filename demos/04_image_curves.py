@@ -1,9 +1,9 @@
 """Write the figure data: image curves near unit tangency, majorant curves.
 
 Produces CSV files in --out-dir:
-  curve_f0.csv, curve_K.csv   image of |z| = r under the two sharp maps,
-                              sampled at the radius where each touches the
-                              unit circle
+  curve_f0.csv, curve_K.csv   image of |z| = r under the two sharp maps of
+                              selfcheck's IMAGE_REACH_PAIRS, sampled at the
+                              radius where each touches the unit circle
   majorant_cor25.csv          the monomial root function for n = 1..4 on a
                               dense r grid; its zero crossings are the
                               table radii
@@ -15,13 +15,14 @@ import os
 import numpy as np
 
 from bohrmap import (
-    NamedMap,
     RadiusProblem,
     circle_grid,
     closed_form_eval,
+    extremal_pairing,
     majorant_value,
     solve_radius,
 )
+from bohrmap.selfcheck import IMAGE_REACH_PAIRS
 
 
 def write_curve(spec, r, samples, path):
@@ -55,21 +56,12 @@ def main():
     args = ap.parse_args()
     os.makedirs(args.out_dir, exist_ok=True)
 
-    r_f0 = solve_radius(RadiusProblem("cor25_monomial", n=1)).root
-    r_K = solve_radius(RadiusProblem("thm210_convex_direction_s0")).root
-
-    mx1 = write_curve(
-        NamedMap("f0_sharp"), r_f0, args.samples,
-        os.path.join(args.out_dir, "curve_f0.csv"),
-    )
-    mx2 = write_curve(
-        NamedMap("harmonic_koebe_K"), r_K, args.samples,
-        os.path.join(args.out_dir, "curve_K.csv"),
-    )
+    for name, variant in IMAGE_REACH_PAIRS:
+        spec, p = extremal_pairing(name, variant)
+        r0, alias = solve_radius(p).root, spec.record.alias
+        mx = write_curve(spec, r0, args.samples, os.path.join(args.out_dir, f"curve_{alias}.csv"))
+        print(f"{alias:<2} image at its radius {r0:.12f}: max modulus {mx:.12f}")
     write_majorants(os.path.join(args.out_dir, "majorant_cor25.csv"), 4)
-
-    print(f"f0 image at its radius {r_f0:.12f}: max modulus {mx1:.12f}")
-    print(f"K  image at its radius {r_K:.12f}: max modulus {mx2:.12f}")
     print()
     print("Both curves kiss the unit circle from inside: max modulus equals")
     print("1 up to solver precision because the coefficient moduli of each")

@@ -21,7 +21,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "bohr": (
         "DEFAULT_GRID_SIZE", "DEFAULT_MARGIN", "BohrProfile", "bohr_partial_sum",
-        "boundary_reach", "check_pairing", "default_bound_inputs",
+        "boundary_reach", "check_pairing", "default_bound_inputs", "extremal_pairing",
         "profile_for_named_map", "sharpness_scan", "verify_inequality",
     ),
     "catalog": (

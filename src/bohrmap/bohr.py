@@ -16,9 +16,10 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .catalog import NamedMap, closed_form_eval, make_map
-from .radii import RadiusProblem, _m2_tails, m2_tail
-from .series import HarmonicMap, _check_count, _check_param, circle_grid, evaluate_on_circle
+from .catalog import MAP, NamedMap, closed_form_eval, make_map
+from .radii import VARIANT, RadiusProblem, _m2_tails, m2_tail
+from .series import DEFAULT_ORDER, HarmonicMap, _check_count, _check_param, circle_grid
+from .series import evaluate_on_circle
 from .solver import solve_radius
 
 DEFAULT_MARGIN = 1e-3
@@ -340,6 +341,8 @@ def sharpness_scan(
     r = radius + epsilon
     if not r < 1.0:
         raise ValueError("radius + epsilon must stay below 1")
+    if r <= radius:
+        raise ValueError("epsilon is lost in rounding: radius + epsilon equals the radius")
     total, _ = bohr_partial_sum(f, r, tail_constant=0.0)
     return total - bound
 
@@ -373,7 +376,7 @@ def check_pairing(spec: NamedMap, p: RadiusProblem) -> None:
     The CLI uses this to refuse meaningless verify/sharpness runs; the
     library functions accept any pairing so tests can probe failures.
     """
-    allowed = spec.record.witness_for
+    allowed = spec.record.member_of
     if p.variant not in allowed:
         raise ValueError(
             f"{spec.name} is not a documented extremal/witness for {p.variant}; "
@@ -384,12 +387,28 @@ def check_pairing(spec: NamedMap, p: RadiusProblem) -> None:
         at = ", ".join(f"{key} = {value:g}" for key, value in pins)
         raise ValueError(f"{spec.name} matches {p.variant} only at {at}")
     if spec.record.parametric and p.K is not None:
-        k_max = (p.K - 1.0) / (p.K + 1.0)
+        k_max = _extremal_k(p.K)
         if spec.k > k_max + 1e-12:
             raise ValueError(
                 f"map k = {spec.k:g} exceeds (K-1)/(K+1) = {k_max:g}; "
                 "the map is not K-quasiconformal for this K"
             )
+
+
+def _extremal_k(K: float) -> float:
+    """The largest map k at which p_k and q_k are K-quasiconformal, where they attain."""
+    return (K - 1.0) / (K + 1.0)
+
+
+def extremal_pairing(name: str, variant: str, K: float | None = None, order: int = DEFAULT_ORDER):
+    """(NamedMap, RadiusProblem) for a catalog map and a variant it is a member of, by tag.
+
+    k and n are the map's pins and K the caller's; a parametric map takes
+    k = _extremal_k(K).  A map attains each of its ``extremal_for`` radii there.
+    """
+    values = {"K": K, **dict(MAP[name].pins)}
+    p = RadiusProblem(variant, **{key: values.get(key) for key in VARIANT[variant].params})
+    return NamedMap(name, k=_extremal_k(K) if MAP[name].parametric else None, order=order), p
 
 
 def default_bound_inputs(spec: NamedMap, p: RadiusProblem) -> dict:

@@ -6,10 +6,10 @@ both as a truncated coefficient model, for Bohr partial sums, and as a closed
 form, for independent evaluation on the disk.
 
 ``MAP_TABLE`` holds one ``MapSpec`` record per map: its alias, coefficient
-model, closed form, tail constant, boundary distance and the radius variants
-it is a documented witness for.  Adding a map means adding one record;
-the name indexes ``MAP_NAMES`` and ``ALIASES`` are derived from the table,
-and whether a map takes k is read from its record.
+model, closed form, tail constant, boundary distance, the radius variants
+whose class it belongs to and those whose radius it attains.  Adding a map
+means adding one record; the name indexes ``MAP_NAMES`` and ``ALIASES`` are
+derived from the table, and whether a map takes k is read from its record.
 
 Coefficient models (m >= 1, everything else zero):
 
@@ -74,11 +74,11 @@ class MapSpec:
     ``closed_form(z, k)`` gives f(z) for |z| < 1; k is the dilatation bound
     of a ``parametric`` map and None otherwise.  ``tail_constant`` is a C
     with |a_m| + |b_m| <= C m^2 for every m >= 1 (it feeds the tail bound),
-    ``distance`` the distance from f(0) to the image boundary where known in
-    closed form (the d of the distance-scaled bounds).  ``witness_for``
-    lists the variants whose hypotheses the map satisfies, and ``pins``
-    the variant parameters it is a witness at, where it is one member of
-    a family.
+    ``distance`` the distance from h(0) to the boundary of h's image (h the
+    analytic part) where known in closed form, the d of the distance-scaled
+    bounds.  ``member_of`` lists the variants whose hypotheses the map
+    satisfies, ``extremal_for`` those whose radius it attains, and ``pins``
+    the variant parameters it is a member at, where it is one of a family.
     """
 
     name: str
@@ -88,33 +88,37 @@ class MapSpec:
     distance: float | None
     coefficients: Callable[[np.ndarray, float | None], tuple]
     closed_form: Callable[[np.ndarray, float | None], np.ndarray]
-    witness_for: tuple[str, ...]
+    member_of: tuple[str, ...]
+    extremal_for: tuple[str, ...]
     pins: tuple[tuple[str, float], ...] = ()
 
 
 MAP_TABLE = (
     MapSpec("koebe_analytic", "koebe", False, 2.0, 0.25,
             lambda m, k: (m, 0.0), lambda z, k: _koebe(z),
-            ("thm11_univalent", "thm22_bohr")),
+            ("thm11_univalent", "thm22_bohr"), ("thm11_univalent",)),
     MapSpec("half_plane_analytic", "half_plane", False, 1.0, 0.5,
             lambda m, k: (1.0, 0.0), lambda z, k: _half(z),
-            ("thm11_univalent", "thm11_convex", "thm22_bohr")),
+            ("thm11_univalent", "thm11_convex", "thm22_bohr"), ("thm11_convex",)),
     MapSpec("harmonic_koebe_K", "K", False, 1.0, None,
             lambda m, k: ((m + 1.0) * (2.0 * m + 1.0) / 6.0, (m - 1.0) * (2.0 * m - 1.0) / 6.0),
-            _harmonic_koebe, ("thm210_convex_direction_s0",)),
+            _harmonic_koebe, ("thm210_convex_direction_s0",), ("thm210_convex_direction_s0",)),
     MapSpec("half_plane_L", "L", False, 1.0, None,
             lambda m, k: ((m + 1.0) / 2.0, (1.0 - m) / 2.0), _half_plane_L,
-            ("thm210_convex_direction_s0", "thm211_convex")),
+            ("thm210_convex_direction_s0", "thm211_convex"), ("thm211_convex",)),
     # f0's dilatation is z itself: the k = 1, n = 1 member of the family.
     MapSpec("f0_sharp", "f0", False, 2.0, 0.25,
             lambda m, k: (m, (m - 1.0) ** 2 / m), _f0,
-            ("thm24_monomial", "cor25_monomial"), pins=(("k", 1.0), ("n", 1))),
+            ("thm24_monomial", "cor25_monomial"), ("thm24_monomial", "cor25_monomial"),
+            pins=(("k", 1.0), ("n", 1))),
+    # distance is h's: p_k(-r) and q_k(-r) tend to -(1 + k) d
     MapSpec("p_k", None, True, 2.0, 0.25,
             lambda m, k: (m, k * m), lambda z, k: _affine(_koebe(z), k),
-            ("thm12_quasi", "thm23_quasi")),
+            ("thm12_quasi", "thm23_quasi"), ("thm12_quasi", "thm23_quasi")),
     MapSpec("q_k", None, True, 2.0, 0.5,
             lambda m, k: (1.0, k), lambda z, k: _affine(_half(z), k),
-            ("thm12_quasi_convex", "thm23_quasi_convex", "thm23_quasi")),
+            ("thm12_quasi_convex", "thm23_quasi_convex", "thm23_quasi"),
+            ("thm12_quasi_convex", "thm23_quasi_convex")),
 )
 
 MAP = {spec.name: spec for spec in MAP_TABLE}

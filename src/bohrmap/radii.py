@@ -14,8 +14,8 @@ means adding one record; ``VARIANTS`` and ``THEOREM_ALIASES`` are derived
 from it.  The domains of K, k and n are rows of ``series._PARAM_RULES``.
 
 "Bound d" marks the families whose Bohr sum is compared against the distance
-from the image of 0 to the image boundary; the caller supplies that distance
-(catalog presets: 1/4 for the full-growth maps, 1/2 for half-plane maps).
+from h(0) to the boundary of h's image, h the analytic part; the caller
+supplies it (catalog presets: 1/4 for the full-growth maps, 1/2 for half-plane maps).
 """
 
 from __future__ import annotations

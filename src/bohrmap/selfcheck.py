@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bohr import bohr_partial_sum, boundary_reach, sharpness_scan
+from .bohr import bohr_partial_sum, boundary_reach, extremal_pairing, sharpness_scan
 from .catalog import MAP_TABLE, NamedMap, closed_form_eval, make_map
 from .dilatation import (
     MobiusDilatation,
@@ -24,7 +24,7 @@ from .dilatation import (
     g_from_mobius,
     g_from_monomial,
 )
-from .radii import VARIANT_TABLE, RadiusProblem, closed_form_radius, majorant_value
+from .radii import VARIANT, VARIANT_TABLE, RadiusProblem, closed_form_radius, majorant_value
 from .series import (
     HarmonicMap,
     PowerSeries,
@@ -43,6 +43,11 @@ from .subordination import domination_campaign, monomial_schwarz, subordinate
 
 QUICK_CAMPAIGN_SEEDS = 10
 FULL_CAMPAIGN_SEEDS = 200
+# The extremal pairings whose map reaches |f| = 1 on the circle |z| = r0:
+# L attains thm211 through its Bohr sum, but L(r0) = r0/(1 - r0) ~ 0.618.
+IMAGE_REACH_PAIRS = (
+    ("f0_sharp", "cor25_monomial"), ("harmonic_koebe_K", "thm210_convex_direction_s0"),
+)
 
 
 @dataclass(frozen=True)
@@ -80,14 +85,12 @@ def _perturbed(f: HarmonicMap, perturb: float) -> HarmonicMap:
 
 
 def _extremal_pairs(order: int):
-    return (
-        (NamedMap("f0_sharp", order=order), RadiusProblem("cor25_monomial", n=1)),
-        (
-            NamedMap("harmonic_koebe_K", order=order),
-            RadiusProblem("thm210_convex_direction_s0"),
-        ),
-        (NamedMap("half_plane_L", order=order), RadiusProblem("thm211_convex")),
-    )
+    return [
+        extremal_pairing(record.name, variant, order=order)
+        for record in MAP_TABLE
+        for variant in record.extremal_for
+        if VARIANT[variant].majorant
+    ]
 
 
 def _root_defined_problems():
@@ -325,7 +328,8 @@ def run_selfcheck(quick: bool = False, perturb: float = 0.0) -> list[CheckResult
 
     def figure_max_mod():
         gaps = []
-        for spec, p in _extremal_pairs(order)[:2]:
+        for name, variant in IMAGE_REACH_PAIRS:
+            spec, p = extremal_pairing(name, variant)
             r0 = solve_radius(p).root
             max_mod, _ = boundary_reach(spec, r0, 4096)
             gaps.append(abs(max_mod - 1.0))

@@ -26,8 +26,8 @@ _MAX_ITERATIONS = 200
 # One verification solves the same problem for its profile, its sharpness
 # scan and its report, which a memo on the problem could serve; but each
 # verify item and each selfcheck check builds its own RadiusProblem, and
-# clearing the cache before each verify item cost 22-23% of in-process
-# verify goodput (ROADMAP item 9 has the measurement).
+# clearing the cache before each verify item cost 15-23% of in-process
+# verify goodput over three sessions (ROADMAP item 9 has the measurement).
 CERTIFICATE_CACHE = 16
 
 

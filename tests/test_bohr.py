@@ -24,7 +24,9 @@ from bohrmap import (
     check_pairing,
     default_bound_inputs,
     domination_campaign,
+    extremal_pairing,
     g_from_monomial,
+    majorant_value,
     make_map,
     profile_for_named_map,
     sharpness_scan,
@@ -48,11 +50,8 @@ def identity_map(order=50):
 
 
 def witness_pairing(record, variant=None):
-    """A catalog map and a witness variant (its first by default), at values its pins allow."""
-    values = {"K": 3.0, "k": 0.5, "n": 1, **dict(record.pins)}
-    variant = VARIANT[variant or record.witness_for[0]]
-    spec = NamedMap(record.name, k=0.5 if record.parametric else None)
-    return spec, RadiusProblem(variant.name, **{p: values[p] for p in variant.params})
+    """A catalog map and a variant it is a member of (its first by default), at K = 3."""
+    return extremal_pairing(record.name, variant or record.member_of[0], K=3.0)
 
 
 FRACTION_BITS = 256
@@ -431,7 +430,7 @@ class TestSumKernel:
         monkeypatch.setattr(bohrmap.bohr, "_full_chain", full_chain)
         monkeypatch.setattr(bohrmap.bohr, "_horner", spy)
         for record in MAP_TABLE:
-            for variant in record.witness_for:
+            for variant in record.member_of:
                 spec, p = witness_pairing(record, variant)
                 assert profile_for_named_map(spec, p).M == 2000
                 sharpness_scan(make_map(spec), p, 0.01, **default_bound_inputs(spec, p))
@@ -502,20 +501,14 @@ class TestRoundingBound:
 
 class TestMajorantDomination:
     @pytest.mark.parametrize(
-        "name,variant,kwargs",
-        [
-            ("f0_sharp", "cor25_monomial", {"n": 1}),
-            ("harmonic_koebe_K", "thm210_convex_direction_s0", {}),
-            ("half_plane_L", "thm211_convex", {}),
-        ],
+        "name,variant",
+        [(r.name, v) for r in MAP_TABLE for v in r.extremal_for if VARIANT[v].majorant],
     )
-    def test_sum_equals_majorant_plus_one(self, name, variant, kwargs):
+    def test_sum_equals_majorant_plus_one(self, name, variant):
         # each extremal map's Bohr sum is exactly the majorant shifted by
         # the bound, which is what makes the root the Bohr radius
-        from bohrmap import majorant_value
-
-        f = make_map(NamedMap(name, order=2000))
-        p = RadiusProblem(variant, **kwargs)
+        spec, p = extremal_pairing(name, variant, order=2000)
+        f = make_map(spec)
         for r in (0.1, 0.2, 0.3):
             s, _ = bohr_partial_sum(f, r, tail_constant=0.0)
             assert s == pytest.approx(majorant_value(p, r) + 1.0, abs=1e-9)
@@ -553,6 +546,15 @@ class TestSharpness:
         p = RadiusProblem("thm211_convex")
         with pytest.raises(ValueError):
             sharpness_scan(f, p, 0.7)
+
+    @pytest.mark.parametrize("epsilon", [1e-300, 1e-17])
+    def test_epsilon_lost_in_rounding_is_refused(self, epsilon):
+        # radius + epsilon == radius would report an excess of 0 at the radius itself
+        f = make_map(NamedMap("koebe_analytic", order=100))
+        p = RadiusProblem("thm11_univalent")
+        with pytest.raises(ValueError, match="epsilon is lost in rounding"):
+            sharpness_scan(f, p, epsilon, bound=0.25)
+        assert sharpness_scan(f, p, 1e-12, bound=0.25) > 0.0
 
     @pytest.mark.parametrize("bound", [-1.0, 0.0, math.nan, math.inf])
     def test_explicit_bound_must_be_positive_and_finite(self, bound):

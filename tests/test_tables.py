@@ -27,9 +27,12 @@ from bohrmap import (
     boundary_reach,
     bracket_root,
     closed_form_radius,
+    default_bound_inputs,
+    extremal_pairing,
     majorant_value,
     make_map,
     monomial_schwarz,
+    profile_for_named_map,
     resolve_name,
     resolve_variant,
     run_selfcheck,
@@ -37,6 +40,8 @@ from bohrmap import (
     solve_radius,
     verify_inequality,
 )
+from bohrmap.catalog import MAP
+from bohrmap.selfcheck import IMAGE_REACH_PAIRS
 from bohrmap.series import _PARAM_RULES
 
 # Parameter values every record is checked at, spanning each range.
@@ -122,14 +127,58 @@ def test_each_radius_route_answers_exactly_when_the_record_has_it():
 
 @by_name(MAP_TABLE)
 def test_map_witnesses_are_real_variants_with_presets(record):
-    assert record.witness_for
-    witnessed = [v for v in VARIANT_TABLE if v.name in record.witness_for]
-    assert len(witnessed) == len(record.witness_for)
+    assert record.member_of
+    witnessed = [v for v in VARIANT_TABLE if v.name in record.member_of]
+    assert len(witnessed) == len(record.member_of)
+    assert set(record.extremal_for) <= set(record.member_of)
     if any(v.bound == "d" for v in witnessed):
         assert record.distance is not None and record.distance > 0.0
     pinned = {name for name, _ in record.pins}
     assert pinned <= {name for v in witnessed for name in v.params}
     assert record.tail_constant > 0.0
+
+
+EXTREMAL = [(r.name, v) for r in MAP_TABLE for v in r.extremal_for]
+MEMBER_ONLY = [(r.name, v) for r in MAP_TABLE for v in r.member_of if v not in r.extremal_for]
+
+
+def pairing_ids(pairs):
+    return [f"{name}-{variant}" for name, variant in pairs]
+
+
+@pytest.mark.parametrize("name, variant", EXTREMAL, ids=pairing_ids(EXTREMAL))
+def test_extremal_map_attains_the_radius(name, variant):
+    # holds below the radius, and the bare sum overshoots just past it
+    spec, p = extremal_pairing(name, variant, K=3.0)
+    assert profile_for_named_map(spec, p).all_pass
+    f, bound = make_map(spec), default_bound_inputs(spec, p)
+    for epsilon in (1e-2, 1e-3):
+        assert sharpness_scan(f, p, epsilon, **bound) > 0.0
+
+
+@pytest.mark.parametrize("name, variant", MEMBER_ONLY, ids=pairing_ids(MEMBER_ONLY))
+def test_member_only_map_stays_below_the_bound(name, variant):
+    spec, p = extremal_pairing(name, variant, K=3.0)
+    assert profile_for_named_map(spec, p).all_pass
+    assert sharpness_scan(make_map(spec), p, 1e-2, **default_bound_inputs(spec, p)) < 0.0
+
+
+def test_variants_without_an_extremal_map():
+    # each entry closes when a catalog map is shown to attain its radius
+    attained = {variant for _, variant in EXTREMAL}
+    assert set(VARIANTS) - attained == {
+        "thm22_bohr",
+        "thm23_subordination",
+        "thm23_subordination_convex",
+        "thm27_mobius",
+        "thm29_convex_direction",
+    }
+
+
+def test_image_reach_pairs_are_extremal():
+    # selfcheck's figure_max_modulus picks these by hand; they must stay attaining
+    for name, variant in IMAGE_REACH_PAIRS:
+        assert variant in MAP[name].extremal_for
 
 
 def test_all_lists_exactly_the_public_names():
