@@ -1,9 +1,9 @@
 """Write the figure data: image curves near unit tangency, majorant curves.
 
 Produces CSV files in --out-dir:
-  curve_f0.csv, curve_K.csv   image of |z| = r under the two sharp maps of
-                              selfcheck's IMAGE_REACH_PAIRS, sampled at the
-                              radius where each touches the unit circle
+  curve_f0.csv, curve_K.csv   ``bohrmap image-curve`` of |z| = r under the
+                              two sharp maps of selfcheck's IMAGE_REACH_PAIRS,
+                              at the radius where each touches the unit circle
   majorant_cor25.csv          the monomial root function for n = 1..4 on a
                               dense r grid; its zero crossings are the
                               table radii
@@ -14,27 +14,9 @@ import os
 
 import numpy as np
 
-from bohrmap import (
-    RadiusProblem,
-    circle_grid,
-    closed_form_eval,
-    extremal_pairing,
-    majorant_value,
-    solve_radius,
-)
+from bohrmap import RadiusProblem, extremal_pairing, majorant_value, solve_radius
+from bohrmap.cli import main as bohrmap_cli
 from bohrmap.selfcheck import IMAGE_REACH_PAIRS
-
-
-def write_curve(spec, r, samples, path):
-    z = circle_grid(r, samples)
-    w = closed_form_eval(spec, z)
-    mx = float(np.max(np.abs(w)))
-    with open(path, "w") as fh:
-        fh.write(f"# map={spec.name} r={r:.12g} samples={samples} max_mod={mx:.12g}\n")
-        fh.write("re,im\n")
-        for v in w:
-            fh.write(f"{v.real:.12g},{v.imag:.12g}\n")
-    return mx
 
 
 def write_majorants(path, max_n):
@@ -59,7 +41,11 @@ def main():
     for name, variant in IMAGE_REACH_PAIRS:
         spec, p = extremal_pairing(name, variant)
         r0, alias = solve_radius(p).root, spec.record.alias
-        mx = write_curve(spec, r0, args.samples, os.path.join(args.out_dir, f"curve_{alias}.csv"))
+        path = os.path.join(args.out_dir, f"curve_{alias}.csv")
+        bohrmap_cli(["image-curve", "--map", name, "--r", repr(r0),
+                     "--samples", str(args.samples), "--out", path])
+        with open(path) as fh:
+            mx = float(fh.readline().rsplit("max_mod=", 1)[1])
         print(f"{alias:<2} image at its radius {r0:.12f}: max modulus {mx:.12f}")
     write_majorants(os.path.join(args.out_dir, "majorant_cor25.csv"), 4)
     print()

@@ -331,19 +331,24 @@ def sharpness_scan(
 ) -> float:
     """Partial sum at (radius + epsilon) minus the bound.
 
-    For a theorem's extremal map the sum meets the bound at the radius with
-    equality, so any epsilon > 0 must give a strictly positive excess; that
-    excess is returned (no tail is added: the truncated sum alone already
-    overshooting is the demonstration).
+    For a theorem's extremal map the sum meets the bound at the radius, so
+    any epsilon > 0 must give a strictly positive excess, returned without a
+    tail (the truncated sum alone overshooting is the demonstration).  Its
+    sign is proven only where radius + epsilon passes the certificate's
+    ``hi`` (a closed form's radius itself) and |excess| passes the sum's
+    rounding term; an epsilon too small for either is refused.
     """
     _check_param("epsilon", epsilon)
-    radius, bound = _radius_and_bound(p, None, bound)
+    cert = solve_radius(p)
+    radius, bound = _radius_and_bound(p, cert.root, bound)
     r = radius + epsilon
     if not r < 1.0:
         raise ValueError("radius + epsilon must stay below 1")
-    if r <= radius:
-        raise ValueError("epsilon is lost in rounding: radius + epsilon equals the radius")
+    if r <= cert.hi:
+        raise ValueError("epsilon too small: radius + epsilon lies inside the certified bracket")
     total, _ = bohr_partial_sum(f, r, tail_constant=0.0)
+    if abs(total - bound) <= _rounding_bound(total, f.order):
+        raise ValueError("epsilon too small: the excess lies within the sum's rounding error")
     return total - bound
 
 
@@ -370,17 +375,17 @@ def boundary_reach(
     return float(np.max(moduli)), float(np.min(moduli))
 
 
-def check_pairing(spec: NamedMap, p: RadiusProblem) -> None:
-    """Raise unless the named map satisfies the variant's hypotheses.
+def check_pairing(spec: NamedMap, p: RadiusProblem, bound: float | None = None) -> dict:
+    """Bound keywords for a catalog pairing, refused unless the map meets the variant's hypotheses.
 
-    The CLI uses this to refuse meaningless verify/sharpness runs; the
-    library functions accept any pairing so tests can probe failures.
+    The given bound, else ``default_bound_inputs``.  The CLI refuses
+    meaningless runs with this; the library functions accept any pairing.
     """
     allowed = spec.record.member_of
     if p.variant not in allowed:
         raise ValueError(
-            f"{spec.name} is not a documented extremal/witness for {p.variant}; "
-            f"valid variants: {', '.join(allowed) or 'none'}"
+            f"{spec.name} is not a member of the class of {p.variant}; "
+            f"it is a member of: {', '.join(allowed) or 'none'}"
         )
     pins = [(key, value) for key, value in spec.record.pins if key in p.record.params]
     if any(getattr(p, key) != value for key, value in pins):
@@ -393,6 +398,7 @@ def check_pairing(spec: NamedMap, p: RadiusProblem) -> None:
                 f"map k = {spec.k:g} exceeds (K-1)/(K+1) = {k_max:g}; "
                 "the map is not K-quasiconformal for this K"
             )
+    return {"bound": bound} if bound is not None else default_bound_inputs(spec, p)
 
 
 def _extremal_k(K: float) -> float:
@@ -433,8 +439,7 @@ def profile_for_named_map(
     grid_size: int = DEFAULT_GRID_SIZE,
 ) -> BohrProfile:
     """verify_inequality for a catalog map with its presets filled in."""
-    check_pairing(spec, p)
-    kwargs = {"bound": bound} if bound is not None else default_bound_inputs(spec, p)
+    kwargs = check_pairing(spec, p, bound)
     return verify_inequality(
         make_map(spec),
         p,

@@ -19,7 +19,7 @@ import numpy as np
 # Only what radius and table run is imported here; each other command
 # imports its layers itself, so a cold start loads no more than it needs.
 from .radii import RadiusProblem
-from .series import DEFAULT_COMPOSE_ORDER, DEFAULT_ORDER, _check_count, circle_grid
+from .series import DEFAULT_COMPOSE_ORDER, DEFAULT_ORDER, _check_count, _check_param, circle_grid
 from .solver import WIDTH_TOL, solve_radius
 
 
@@ -187,13 +187,12 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sharpness(args) -> int:
-    from .bohr import check_pairing, default_bound_inputs, sharpness_scan
+    from .bohr import check_pairing, sharpness_scan
     from .catalog import make_map
 
     spec = _map_from_args(args)
     p = _problem_from_args(args)
-    check_pairing(spec, p)
-    kwargs = {"bound": args.bound} if args.bound is not None else default_bound_inputs(spec, p)
+    kwargs = check_pairing(spec, p, args.bound)
     excess = sharpness_scan(make_map(spec), p, args.epsilon, **kwargs)
     head = _header(
         "sharpness", **_pairing_params(spec, p), epsilon=args.epsilon, order=spec.order
@@ -208,8 +207,7 @@ def cmd_sharpness(args) -> int:
 def cmd_image_curve(args) -> int:
     from .catalog import NamedMap, closed_form_eval
 
-    if not 0.0 < args.r < 1.0:
-        raise ValueError("--r must lie in (0, 1)")
+    _check_param("reach r", args.r)
     _check_count("--samples", args.samples, 1)
     spec = NamedMap(args.map, k=args.k)
     values = closed_form_eval(spec, circle_grid(args.r, args.samples))
@@ -225,10 +223,11 @@ def cmd_image_curve(args) -> int:
 
 
 def cmd_campaign(args) -> int:
-    from .subordination import domination_campaign
+    from .subordination import CAMPAIGN_MAPS, domination_campaign
 
     _check_count("--cases", args.cases, 1)
-    map_names = tuple(name.strip() for name in args.maps.split(",") if name.strip())
+    maps = CAMPAIGN_MAPS if args.maps is None else args.maps.split(",")
+    map_names = tuple(name.strip() for name in maps if name.strip())
     report = domination_campaign(
         seeds=range(args.cases), map_names=map_names, order=args.order
     )
@@ -337,10 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
         "subordination-campaign", help="seeded Schwarz-composition domination sweep"
     )
     camp.add_argument("--cases", type=int, default=200)
-    camp.add_argument(
-        "--maps", default="koebe_analytic,half_plane_analytic",
-        help="comma-separated catalog map names",
-    )
+    # None until cmd_campaign fills in subordination's maps, so parsing loads no subordination
+    camp.add_argument("--maps", default=None, help="comma-separated catalog map names")
     camp.add_argument("--order", type=int, default=DEFAULT_COMPOSE_ORDER)
     _add_common(camp, default_format="json")
     camp.set_defaults(func=cmd_campaign)

@@ -44,7 +44,8 @@ def _check_count(name: str, value, minimum: int) -> None:
 # package, checked in this order.  Each test is written so that NaN, which
 # fails every comparison, fails it.  A bool would pass most of them, so it
 # breaks an argument's first row, as counts refuse it.  "map k" is a catalog
-# map's k, where k = 0 is the analytic map; "reach r" is boundary_reach's r.
+# map's k, where k = 0 is the analytic map; "reach r" is boundary_reach's r and
+# image-curve's --r.
 _PARAM_RULES = (
     ("K", lambda K: K >= 1.0, "K must be >= 1"),
     ("K", math.isfinite, "K must be finite"),

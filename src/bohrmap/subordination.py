@@ -38,6 +38,7 @@ SCHWARZ_RADIUS = 0.999
 SCHWARZ_SUP_TOL = 1e-6
 MAX_BLASCHKE_MODULUS = 0.8
 MAX_RANDOM_DEGREE = 8
+CAMPAIGN_MAPS = ("koebe_analytic", "half_plane_analytic")
 DOMINATION_TOL = 1e-9
 # The radii check_domination compares the two Bohr sums at.
 DOMINATION_GRID = np.linspace(1.0 / 48.0, 1.0 / 3.0, 16)
@@ -165,7 +166,7 @@ def check_harmonic_subordination_bound(f1: HarmonicMap, p: RadiusProblem) -> Boh
 
 def domination_campaign(
     seeds=range(200),
-    map_names=("koebe_analytic", "half_plane_analytic"),
+    map_names=CAMPAIGN_MAPS,
     order: int = DEFAULT_COMPOSE_ORDER,
 ) -> dict:
     """Seeded sweep of check_domination across random Schwarz functions.

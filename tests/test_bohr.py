@@ -549,12 +549,34 @@ class TestSharpness:
 
     @pytest.mark.parametrize("epsilon", [1e-300, 1e-17])
     def test_epsilon_lost_in_rounding_is_refused(self, epsilon):
-        # radius + epsilon == radius would report an excess of 0 at the radius itself
+        # radius + epsilon == radius would report an excess of 0 at the radius
+        # itself; a closed-form radius is its own bracket, so the bracket rule
+        # refuses it
         f = make_map(NamedMap("koebe_analytic", order=100))
         p = RadiusProblem("thm11_univalent")
-        with pytest.raises(ValueError, match="epsilon is lost in rounding"):
+        with pytest.raises(ValueError, match="inside the certified bracket"):
             sharpness_scan(f, p, epsilon, bound=0.25)
         assert sharpness_scan(f, p, 1e-12, bound=0.25) > 0.0
+
+    @pytest.mark.parametrize("epsilon", [1e-16, 1e-14])
+    def test_epsilon_inside_the_bisection_bracket_is_refused(self, epsilon):
+        # thm211's radius is bisected: radius + epsilon must pass the
+        # bracket's hi before the sum there says anything about the root
+        f = make_map(NamedMap("half_plane_L"))
+        p = RadiusProblem("thm211_convex")
+        assert solve_radius(p).root + epsilon <= solve_radius(p).hi
+        with pytest.raises(ValueError, match="inside the certified bracket"):
+            sharpness_scan(f, p, epsilon)
+
+    def test_excess_within_rounding_is_refused(self):
+        # past the bracket, but the order-2000 sum's rounding term (4.4e-13)
+        # is larger than its excess
+        f = make_map(NamedMap("half_plane_L"))
+        p = RadiusProblem("thm211_convex")
+        assert solve_radius(p).root + 6e-14 > solve_radius(p).hi
+        with pytest.raises(ValueError, match="within the sum's rounding error"):
+            sharpness_scan(f, p, 6e-14)
+        assert sharpness_scan(f, p, 1e-13) > _rounding_bound(1.0, f.order)
 
     @pytest.mark.parametrize("bound", [-1.0, 0.0, math.nan, math.inf])
     def test_explicit_bound_must_be_positive_and_finite(self, bound):
@@ -618,6 +640,27 @@ class TestPairing:
                 NamedMap("koebe_analytic"),
                 RadiusProblem("thm210_convex_direction_s0"),
             )
+
+    def test_refusal_names_membership(self):
+        # koebe is a member of thm22_bohr's class without attaining its radius
+        with pytest.raises(ValueError) as exc:
+            check_pairing(NamedMap("koebe"), RadiusProblem("thm210_convex_direction_s0"))
+        assert str(exc.value) == (
+            "koebe_analytic is not a member of the class of thm210_convex_direction_s0; "
+            "it is a member of: thm11_univalent, thm22_bohr"
+        )
+
+    @pytest.mark.parametrize(
+        "record, variant",
+        [(record, variant) for record in MAP_TABLE for variant in record.member_of],
+        ids=lambda x: getattr(x, "name", x),
+    )
+    def test_returns_the_bound_keywords(self, record, variant):
+        # a given bound wins; else a distance-scaled variant takes the map's d
+        spec, p = witness_pairing(record, variant)
+        assert check_pairing(spec, p, 0.3) == {"bound": 0.3}
+        preset = {"bound": record.distance} if p.record.bound == "d" else {}
+        assert check_pairing(spec, p) == preset
 
     def test_rejects_quasiconformal_mismatch(self):
         # k = 0.9 dilatation is not K = 3 quasiconformal (needs k <= 0.5)
