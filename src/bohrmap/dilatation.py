@@ -88,19 +88,89 @@ def g_from_mobius(h: PowerSeries, w: MobiusDilatation) -> HarmonicMap:
     univalence claim is made for the result; this builds the candidate map
     that solves the coefficient system.
 
-    The loop runs on Python floats, real and imaginary parts apart, and
-    gives the bits of the same recurrence on numpy complex scalars, signed
-    zeros included.  For numpy a float x times a complex y is the complex
-    product of x + 0j and y, so each real product also adds a 0 * (the
-    other part), which can only change the sign of a zero; and a division
-    by m is complex division by m + 0j, which multiplies by 1.0/m (Smith's
-    algorithm with a zero ratio).  The loop spells out both.
+    Every b_m has the bits of the same recurrence on numpy complex scalars,
+    signed zeros included (see ``_mobius_coupled``).  An h whose imaginary
+    parts are all +0.0, as every catalog h's are, first tries
+    ``_mobius_real``, which runs the real parts alone and proves them equal
+    to the coupled loop's; any other h, or a real chain the proof does not
+    cover, runs the coupled loop.
     """
     _require_normalized(h)
     a = float(w.a)
     ac = h.coeffs
     sign = 1.0 if w.variant == "plus" else -1.0
     b1 = a * ac[1]
+    b = _mobius_real(ac, a, sign, b1)
+    if b is None:
+        b = _mobius_coupled(ac, a, sign, b1)
+    return HarmonicMap(h, PowerSeries(b))
+
+
+def _mobius_real(ac: np.ndarray, a: float, sign: float, b1: complex) -> np.ndarray | None:
+    """The coupled loop's b for an h whose imaginary parts are all +0.0, else None.
+
+    With xi = im[m] = +0.0 at every m the coupled loop's di is
+    +0 - (a bi + 0 br), and +0 minus any zero is +0, so di = +0 whatever bi
+    is, as long as br is finite.  Then x - 0 xi and x - 0 di are x for
+    every x, bi is a zero, and the real parts obey the real recurrence
+
+        b_m = (t a_m + s (a_{m-1} - a b_{m-1})) / m,   t = a m,  s = +-(m-1),
+
+    with the division a product by 1/m, as in the loop: the loop only adds
+    signed zeros to a b_{m-1}, t a_m, s d_m and n_m (d_m and n_m the
+    bracket and the numerator), and a zero added to a finite nonzero x
+    leaves x.  So a chain in which those four values are finite and nonzero
+    at every m is the loop's, bit for bit; by induction on m, since each
+    step's br is then finite and its bi a zero.  One Python-float loop runs
+    the real chain, with t a_m, s and 1/m taken from numpy by the same IEEE
+    operations; numpy then recomputes the four values from the stored b
+    and checks them, and rebuilds each bi = (ni - 0 n_m)/m from the loop's
+    own expressions for ni and bi.  Where any check fails, the result is
+    None and the caller runs the coupled loop: a = +-0 (t = 0), a zero
+    a_m, a chain that underflows to zero (a = 1e-300) or overflows, and
+    any imaginary part other than +0.0, -0.0 included.
+    """
+    # +0.0 is the one float whose bits are all zero
+    if ac.imag.view(np.uint64).any():
+        return None
+    re = ac.real
+    m = np.arange(2.0, len(re))
+    with np.errstate(all="ignore"):
+        t = a * m
+        ta = t * re[2:]
+        s = sign * (m - 1.0)
+        inv = 1.0 / m
+        br = float(b1.real)
+        b_re = [0.0, br]
+        for ta_m, s_m, inv_m, x in zip(ta.tolist(), s.tolist(), inv.tolist(), re[1:-1].tolist()):
+            br = (ta_m + s_m * (x - a * br)) * inv_m
+            b_re.append(br)
+        b = np.empty(len(re), dtype=np.complex128)
+        b.real = b_re
+        ab = a * b.real[1:-1]
+        d = re[1:-1] - ab
+        sd = s * d
+        n = ta + sd
+        if not all(np.isfinite(v).all() and v.all() for v in (ab, ta, sd, n)):
+            return None
+    # the loop's ni = (t xi + 0 xr) + (s di + 0 dr) and bi = (ni - 0 nr) inv,
+    # with xi = di = +0
+    ni = (t * 0.0 + 0.0 * re[2:]) + (s * 0.0 + 0.0 * d)
+    b.imag[0], b.imag[1] = 0.0, b1.imag
+    b.imag[2:] = (ni - n * 0.0) * inv
+    return b
+
+
+def _mobius_coupled(ac: np.ndarray, a: float, sign: float, b1: complex) -> np.ndarray:
+    """The Mobius recurrence on Python floats, real and imaginary parts apart.
+
+    It gives the bits of the same recurrence on numpy complex scalars,
+    signed zeros included.  For numpy a float x times a complex y is the
+    complex product of x + 0j and y, so each real product also adds a
+    0 * (the other part), which can only change the sign of a zero; and a
+    division by m is complex division by m + 0j, which multiplies by 1.0/m
+    (Smith's algorithm with a zero ratio).  The loop spells out both.
+    """
     re, im = ac.real.tolist(), ac.imag.tolist()
     br, bi = float(b1.real), float(b1.imag)
     b_re, b_im = [0.0, br], [0.0, bi]
@@ -120,7 +190,7 @@ def g_from_mobius(h: PowerSeries, w: MobiusDilatation) -> HarmonicMap:
     b = np.empty(len(ac), dtype=np.complex128)
     b.real = b_re
     b.imag = b_im
-    return HarmonicMap(h, PowerSeries(b))
+    return b
 
 
 def dilatation_residual(f: HarmonicMap, w, points) -> float:

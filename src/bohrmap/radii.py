@@ -273,7 +273,21 @@ def _m2_tails(rs: list[float], M: int) -> list[float]:
     """m2_tail(r, M) for each Python float r, with r and M already checked.
 
     Python floats keep libm's pow, so each value is m2_tail's bit for bit.
+    A radius r > 0 with log2(r) < -1100/N skips pow and gets +0.0, which is
+    what pow's route gives there.  log2 and the division are within an ulp,
+    so N log2(r) < -1099 and r^N < 2^-1099, far below half the smallest
+    subnormal (2^-1075), where pow returns +0.0 (slowly: 0.3 us a radius,
+    against 0.05 us for the log).  The numerator is
+    N^2 (1-r)^2 + 2N r (1-r) + r (1+r) > 0, and its float is within
+    16 N^2 2^-53 of it, so it stays positive while 1 - r > 2^-24, which
+    holds at such an r while N <= 2^32; 0 times it over (1-r)^3 is +0.0.
+    Larger N, r = 0 and r = -0.0 (whose odd powers keep the sign) take pow.
     """
     N = M + 1
     N2, lin, sq = N**2, 2.0 * N**2 - 2.0 * N - 1.0, (N - 1) ** 2
-    return [float(r**N * (N2 - lin * r + sq * r**2) / (1.0 - r) ** 3) for r in rs]
+    cut = -1100.0 / N if N <= 2**32 else -math.inf
+    return [
+        0.0 if r > 0.0 and math.log2(r) < cut
+        else float(r**N * (N2 - lin * r + sq * r**2) / (1.0 - r) ** 3)
+        for r in rs
+    ]

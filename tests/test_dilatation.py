@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import bohrmap.dilatation as dilatation
 from bohrmap import (
     HarmonicMap,
     MobiusDilatation,
@@ -17,6 +18,7 @@ from bohrmap import (
     NamedMap,
     term_differentiate,
 )
+from bohrmap.catalog import MAP_TABLE
 from test_series import assert_same_bits, horner_one_row
 
 
@@ -276,6 +278,20 @@ class TestBitsAgainstFrozenLoops:
                     got = g_from_mobius(h, MobiusDilatation(a, variant)).g.coeffs
                     assert_same_bits(got, mobius_numpy_scalar_loop(h, a, variant))
 
+    def test_mobius_sparse_real_parts(self):
+        # +0.0 imaginary parts send h to the real chain; its zero parts and
+        # a = +-0 or +-1e-300 leave the signs of zeros to the coupled loop
+        rng = np.random.default_rng(12)
+        parts = np.array([0.0, -0.0, 1.0, -1.0, 2.0, 0.5])
+        for _ in range(400):
+            c = rng.choice(parts, 12).astype(np.complex128)
+            c[0], c[1] = 0.0, 1.0
+            h = PowerSeries(c)
+            for a in (0.0, -0.0, 1e-300, -1e-300, 0.5, -0.5):
+                for variant in ("plus", "minus"):
+                    got = g_from_mobius(h, MobiusDilatation(a, variant)).g.coeffs
+                    assert_same_bits(got, mobius_numpy_scalar_loop(h, a, variant))
+
     def test_mobius_order_one(self):
         h = PowerSeries([0.0, 1.0])
         got = g_from_mobius(h, MobiusDilatation(-0.5)).g.coeffs
@@ -300,6 +316,81 @@ class TestBitsAgainstFrozenLoops:
         w = MobiusDilatation(0.4)
         for z in (0.3, 0.1 + 0.45j):
             assert dilatation_residual(f, w, z) == residual_two_calls(f, w, z)
+
+
+def with_imag(h, m, imag):
+    c = np.array(h.coeffs)
+    c.imag[m] = imag
+    return PowerSeries(c)
+
+
+def with_real(h, m, real):
+    c = np.array(h.coeffs)
+    c.real[m] = real
+    return PowerSeries(c)
+
+
+KOEBE_40 = make_map(NamedMap("koebe_analytic", order=40)).h
+
+# each case leaves some value the real chain's proof needs finite and
+# nonzero at zero, or has an imaginary part other than +0.0
+FALLBACKS = {
+    "a = +0": (KOEBE_40, 0.0),
+    "a = -0": (KOEBE_40, -0.0),
+    "a b_1 underflows": (KOEBE_40, 1e-300),
+    "an imaginary -0": (with_imag(KOEBE_40, 17, -0.0), 0.3),
+    "a zero real coefficient": (with_real(KOEBE_40, 9, 0.0), 0.3),
+}
+
+
+def spy_on_loop(monkeypatch):
+    calls = []
+    coupled = dilatation._mobius_coupled
+
+    def spy(*args):
+        calls.append(args)
+        return coupled(*args)
+
+    monkeypatch.setattr(dilatation, "_mobius_coupled", spy)
+    return calls
+
+
+class TestRealChainRoute:
+    """Every catalog h takes the real chain; each case it cannot prove runs the loop."""
+
+    @pytest.mark.parametrize("variant", ["plus", "minus"])
+    @pytest.mark.parametrize("record", MAP_TABLE, ids=lambda r: r.name)
+    def test_catalog_h_never_reaches_the_loop(self, record, variant, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the coupled loop ran")
+
+        k = 0.5 if record.parametric else None
+        h = make_map(NamedMap(record.name, k=k, order=2000)).h
+        sign = 1.0 if variant == "plus" else -1.0
+        wants = {a: dilatation._mobius_coupled(h.coeffs, a, sign, a * h.coeffs[1])
+                 for a in (-0.9, -0.3, 0.3, 0.9)}
+        monkeypatch.setattr(dilatation, "_mobius_coupled", refuse)
+        for a, want in wants.items():
+            assert_same_bits(g_from_mobius(h, MobiusDilatation(a, variant)).g.coeffs, want)
+
+    @pytest.mark.parametrize("variant", ["plus", "minus"])
+    @pytest.mark.parametrize("case", FALLBACKS)
+    def test_fallback_runs_the_loop_with_the_frozen_bits(self, case, variant, monkeypatch):
+        calls = spy_on_loop(monkeypatch)
+        h, a = FALLBACKS[case]
+        got = g_from_mobius(h, MobiusDilatation(a, variant)).g.coeffs
+        assert len(calls) == 1
+        assert_same_bits(got, mobius_numpy_scalar_loop(h, a, variant))
+
+    @pytest.mark.parametrize("variant", ["plus", "minus"])
+    def test_overflow_runs_the_loop_and_is_refused(self, variant, monkeypatch):
+        # a_12 = 1e308 makes t a_12 and so b_12 infinite; either route then
+        # builds a b that PowerSeries refuses, but only the loop's is proven
+        calls = spy_on_loop(monkeypatch)
+        h = with_real(KOEBE_40, 12, 1e308)
+        with pytest.raises(ValueError, match="series coefficients must be finite"):
+            g_from_mobius(h, MobiusDilatation(0.9, variant))
+        assert len(calls) == 1
 
 
 class TestDilatationResidual:

@@ -6,6 +6,8 @@ from typing import Callable
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bohrmap import (
     VARIANT_TABLE,
@@ -15,6 +17,7 @@ from bohrmap import (
     majorant_value,
     resolve_variant,
 )
+from bohrmap.radii import _m2_tails
 from test_solver import THM27_ROOT
 
 # frozen independent evaluations of the root equations
@@ -24,6 +27,27 @@ COR25_ROOTS = {
     3: 0.17930779190555451,
     4: 0.095981503730573139,
 }
+
+
+def m2_tails_by_pow(rs, M):
+    # the closed form with pow at every radius
+    N = M + 1
+    N2, lin, sq = N**2, 2.0 * N**2 - 2.0 * N - 1.0, (N - 1) ** 2
+    return [float(r**N * (N2 - lin * r + sq * r**2) / (1.0 - r) ** 3) for r in rs]
+
+
+@st.composite
+def tail_inputs(draw):
+    """Radii in [0, 1), zeros, subnormals and the underflow cut among them, and M >= 0."""
+    # past M = 2^32 the float numerator can round below zero (at M = 10^14
+    # it does near the cut), so there the pow route gives -0.0
+    M = draw(st.sampled_from([0, 1, 5, 60, 200, 2000, 10000, 2**32 - 1, 2**32, 10**14])
+             | st.integers(0, 2**50))
+    cut = 2.0 ** (-1100.0 / (M + 1))
+    edges = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, cut,
+             math.nextafter(cut, 0.0), math.nextafter(cut, 1.0)]
+    radius = st.sampled_from([r for r in edges if r < 1.0]) | st.floats(0.0, 1.0, exclude_max=True)
+    return draw(st.lists(radius, min_size=1, max_size=16)), M
 
 
 class TestResolution:
@@ -320,6 +344,13 @@ class TestIdentities:
             m2_tail(1.0, 5)
         with pytest.raises(ValueError):
             m2_tail(0.5, -1)
+
+    @given(tail_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_m2_tails_equal_the_pow_route(self, case):
+        # bit for bit, signed zeros included, underflow cut or not
+        rs, M = case
+        assert [t.hex() for t in _m2_tails(rs, M)] == [t.hex() for t in m2_tails_by_pow(rs, M)]
 
     def test_identity_check_input_validation(self):
         ident = IDENTITIES["sum_rm"]
