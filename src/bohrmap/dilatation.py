@@ -202,6 +202,8 @@ def dilatation_residual(f: HarmonicMap, w, points) -> float:
     rows of one Horner chain.
     """
     pts = np.atleast_1d(np.asarray(points, dtype=np.complex128))
+    if pts.size == 0:
+        raise ValueError("points is empty: the residual is a max over at least one point")
     gp, hp = _evaluate_rows(
         (term_differentiate(f.g).coeffs, term_differentiate(f.h).coeffs), pts
     )

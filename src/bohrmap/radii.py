@@ -260,8 +260,10 @@ def m2_tail(r: float, M: int) -> float:
     """Closed form of sum_{m > M} m^2 r^m, for 0 <= r < 1.
 
     With N = M + 1 the tail is
-    r^N [N^2 - (2N^2 - 2N - 1) r + (N-1)^2 r^2] / (1-r)^3, evaluated
-    directly so no full-minus-partial cancellation occurs.
+    r^N [N^2 (1-r)^2 + 2N r (1-r) + r (1+r)] / (1-r)^3 =
+    r^N [(N (1-r) + r)^2 + r] / (1-r)^3, evaluated directly so no
+    full-minus-partial cancellation occurs, and with a numerator of
+    nonnegative terms, which cannot cancel either.
     """
     _check_param("r", r)
     _check_count("M", M, 0)
@@ -277,17 +279,17 @@ def _m2_tails(rs: list[float], M: int) -> list[float]:
     what pow's route gives there.  log2 and the division are within an ulp,
     so N log2(r) < -1099 and r^N < 2^-1099, far below half the smallest
     subnormal (2^-1075), where pow returns +0.0 (slowly: 0.3 us a radius,
-    against 0.05 us for the log).  The numerator is
-    N^2 (1-r)^2 + 2N r (1-r) + r (1+r) > 0, and its float is within
-    16 N^2 2^-53 of it, so it stays positive while 1 - r > 2^-24, which
-    holds at such an r while N <= 2^32; 0 times it over (1-r)^3 is +0.0.
-    Larger N, r = 0 and r = -0.0 (whose odd powers keep the sign) take pow.
+    against 0.05 us for the log).  The numerator N^2 (1-r)^2 + 2N r (1-r)
+    + r (1+r) is computed as (N (1-r) + r)^2 + r, a square plus r, so for
+    0 < r < 1 its float is at least r > 0 whatever N is, and +0.0 times it
+    over (1-r)^3 is +0.0.  r = 0 and r = -0.0 (whose odd powers keep the
+    sign) take pow.
     """
     N = M + 1
-    N2, lin, sq = N**2, 2.0 * N**2 - 2.0 * N - 1.0, (N - 1) ** 2
-    cut = -1100.0 / N if N <= 2**32 else -math.inf
+    cut = -1100.0 / N
+    # s = 1 - r, bound as the numerator is read, so the denominator reuses it
     return [
         0.0 if r > 0.0 and math.log2(r) < cut
-        else float(r**N * (N2 - lin * r + sq * r**2) / (1.0 - r) ** 3)
+        else float(r**N * ((N * (s := 1.0 - r) + r) ** 2 + r) / s**3)
         for r in rs
     ]

@@ -409,6 +409,14 @@ class TestDilatationResidual:
         w = MonomialDilatation(k=0.5, n=1)
         assert dilatation_residual(f, w, circle_grid(0.3, 16)) > 0.3
 
+    @pytest.mark.parametrize("points", [[], np.zeros(0), np.zeros((0, 3))])
+    def test_refuses_an_empty_point_set(self, points):
+        # a max over no points has no value; numpy's own error named no argument
+        w = MobiusDilatation(0.3)
+        f = g_from_mobius(KOEBE_40, w)
+        with pytest.raises(ValueError, match="points is empty"):
+            dilatation_residual(f, w, points)
+
 
 class TestQuasiconformality:
     def test_dilatation_modulus_bounded_by_k(self):

@@ -30,17 +30,24 @@ COR25_ROOTS = {
 
 
 def m2_tails_by_pow(rs, M):
-    # the closed form with pow at every radius
+    # the closed form with pow at every radius, its numerator
+    # N^2 (1-r)^2 + 2N r (1-r) + r (1+r) written as a square plus r
     N = M + 1
-    N2, lin, sq = N**2, 2.0 * N**2 - 2.0 * N - 1.0, (N - 1) ** 2
-    return [float(r**N * (N2 - lin * r + sq * r**2) / (1.0 - r) ** 3) for r in rs]
+    return [float(r**N * ((N * (1.0 - r) + r) ** 2 + r) / (1.0 - r) ** 3) for r in rs]
+
+
+def m2_tail_mpmath(r, M):
+    # sum_{m > M} m^2 r^m at 50 digits, r taken as its exact binary value
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        N, x = M + 1, mpmath.mpf(r)
+        return x**N * (N**2 - (2 * N**2 - 2 * N - 1) * x + (N - 1) ** 2 * x**2) / (1 - x) ** 3
 
 
 @st.composite
 def tail_inputs(draw):
     """Radii in [0, 1), zeros, subnormals and the underflow cut among them, and M >= 0."""
-    # past M = 2^32 the float numerator can round below zero (at M = 10^14
-    # it does near the cut), so there the pow route gives -0.0
+    # M up to 2^50, where the underflow cut is within 2^-40 of 1
     M = draw(st.sampled_from([0, 1, 5, 60, 200, 2000, 10000, 2**32 - 1, 2**32, 10**14])
              | st.integers(0, 2**50))
     cut = 2.0 ** (-1100.0 / (M + 1))
@@ -344,6 +351,16 @@ class TestIdentities:
             m2_tail(1.0, 5)
         with pytest.raises(ValueError):
             m2_tail(0.5, -1)
+
+    @pytest.mark.parametrize("r, M", [(0.9999999962416259, 10**8), (1.0 - 1e-6, 10**6)])
+    def test_m2_tail_near_one_matches_mpmath(self, r, M):
+        # where 1 - r is near 1/M: the numerator N^2 - (2N^2 - 2N - 1) r +
+        # (N - 1)^2 r^2 cancelled here, to -2.59e25 at the first point and a
+        # relative error of 2.4e-5 at the second
+        want = m2_tail_mpmath(r, M)
+        got = m2_tail(r, M)
+        assert got > 0.0
+        assert abs(got - want) <= 1e-15 * want
 
     @given(tail_inputs())
     @settings(max_examples=300, deadline=None)
