@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-import bohrmap.dilatation as dilatation
 from bohrmap import (
     HarmonicMap,
     MobiusDilatation,
@@ -53,6 +54,15 @@ def g_by_integration(h, w, order):
     out = np.zeros(order + 1, dtype=np.complex128)
     out[1:] = gp[:-1] / np.arange(1.0, order + 1.0)
     return out
+
+
+def with_real(h, m, real):
+    c = np.array(h.coeffs)
+    c.real[m] = real
+    return PowerSeries(c)
+
+
+KOEBE_40 = make_map(NamedMap("koebe_analytic", order=40)).h
 
 
 class TestMonomialDilatation:
@@ -192,6 +202,14 @@ class TestMobiusConstruction:
             f = g_from_mobius(h, MobiusDilatation(0.25, variant))
             assert f.g.coeffs[1] == pytest.approx(0.25)
 
+    @pytest.mark.parametrize("variant", ["plus", "minus"])
+    def test_overflow_is_refused(self, variant):
+        # a_12 = 1e308 makes t a_12 and so b_12 infinite, and the series
+        # built from that b is refused
+        h = with_real(KOEBE_40, 12, 1e308)
+        with pytest.raises(ValueError, match="series coefficients must be finite"):
+            g_from_mobius(h, MobiusDilatation(0.9, variant))
+
 
 def mobius_numpy_scalar_loop(h, a, variant):
     # reference recurrence on numpy complex scalars, one coefficient at a time
@@ -199,9 +217,20 @@ def mobius_numpy_scalar_loop(h, a, variant):
     b = np.zeros(len(ac), dtype=np.complex128)
     b[1] = a * ac[1]
     sign = 1.0 if variant == "plus" else -1.0
-    for m in range(2, len(ac)):
-        b[m] = (a * m * ac[m] + sign * (m - 1) * (ac[m - 1] - a * b[m - 1])) / m
+    with np.errstate(all="ignore"):
+        for m in range(2, len(ac)):
+            b[m] = (a * m * ac[m] + sign * (m - 1) * (ac[m - 1] - a * b[m - 1])) / m
     return b
+
+
+def assert_same_nonzero_bits(got, want):
+    # equal values, and the same bits in every part that is not a zero; the
+    # sign of a zero part is not promised
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+    for part in ("real", "imag"):
+        g, w = getattr(got, part), getattr(want, part)
+        assert g[w != 0].tobytes() == w[w != 0].tobytes()
 
 
 def residual_two_calls(f, w, points):
@@ -220,9 +249,58 @@ def normalized_random_h(rng, order):
 
 MOBIUS_A = [0.0, -0.0, 0.3, -0.7, 0.95, -0.999, 1e-300]
 
+# signed zeros and small integers, so that products and sums come out zero
+# in every combination of signs, the extremes of the property's magnitudes,
+# and the largest double, whose products overflow
+SPARSE_PARTS = [0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 0.5, 1e-300, -1e300, np.finfo(float).max]
+parts = st.one_of(
+    st.sampled_from(SPARSE_PARTS),
+    st.floats(1e-300, 1e300),
+    st.floats(-1e300, -1e-300),
+)
+signed_zeros = st.sampled_from([0.0, -0.0])
+
+
+@st.composite
+def mobius_cases(draw):
+    # a normalized h, real (every imaginary part a zero of either sign) or
+    # complex, and a from the signed zeros, +-1e-300 or anywhere in (-1, 1)
+    n = draw(st.integers(1, 30))
+    c = np.empty(n + 1, dtype=np.complex128)
+    c.real = draw(st.lists(parts, min_size=n + 1, max_size=n + 1))
+    c.imag = draw(st.lists(draw(st.sampled_from([parts, signed_zeros])), min_size=n + 1, max_size=n + 1))
+    c[0], c[1] = 0.0, complex(1.0, draw(signed_zeros))
+    a = draw(st.one_of(st.sampled_from([0.0, -0.0, 1e-300, -1e-300]),
+                       st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True)))
+    return PowerSeries(c), a, draw(st.sampled_from(["plus", "minus"]))
+
 
 class TestBitsAgainstFrozenLoops:
-    """The float recurrence and the shared Horner chain keep every bit."""
+    """The Mobius recurrence keeps every nonzero bit of the numpy-scalar one,
+    and every byte for a catalog h; the shared Horner chain keeps every bit."""
+
+    @pytest.mark.parametrize("order", [2, 60, 500, 2000])
+    @pytest.mark.parametrize("record", MAP_TABLE, ids=lambda r: r.name)
+    def test_mobius_catalog_h_keeps_every_byte(self, record, order):
+        # signed zeros included, so no demo, selfcheck or CLI figure can move
+        k = 0.5 if record.parametric else None
+        h = make_map(NamedMap(record.name, k=k, order=order)).h
+        for a in MOBIUS_A + [0.9, -0.9]:
+            for variant in ("plus", "minus"):
+                got = g_from_mobius(h, MobiusDilatation(a, variant)).g.coeffs
+                assert_same_bits(got, mobius_numpy_scalar_loop(h, a, variant))
+
+    @given(mobius_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_mobius_matches_the_reference_or_both_refuse(self, case):
+        h, a, variant = case
+        want = mobius_numpy_scalar_loop(h, a, variant)
+        if np.isfinite(want).all():
+            got = g_from_mobius(h, MobiusDilatation(a, variant)).g.coeffs
+            assert_same_nonzero_bits(got, want)
+        else:
+            with pytest.raises(ValueError, match="series coefficients must be finite"):
+                g_from_mobius(h, MobiusDilatation(a, variant))
 
     @pytest.mark.parametrize("variant", ["plus", "minus"])
     def test_mobius_complex_random_h_at_order_2000(self, variant):
@@ -230,17 +308,7 @@ class TestBitsAgainstFrozenLoops:
         h = normalized_random_h(rng, 2000)
         for a in MOBIUS_A + list(rng.uniform(-1.0, 1.0, 4)):
             got = g_from_mobius(h, MobiusDilatation(a, variant)).g.coeffs
-            assert_same_bits(got, mobius_numpy_scalar_loop(h, a, variant))
-
-    @pytest.mark.parametrize("variant", ["plus", "minus"])
-    @pytest.mark.parametrize("name", ["koebe_analytic", "half_plane_analytic"])
-    def test_mobius_real_h_signed_zeros(self, name, variant):
-        # real coefficients leave every b_m with a zero imaginary part,
-        # whose sign the numpy scalars fix through 0 * (other part) terms
-        h = make_map(NamedMap(name, order=300)).h
-        for a in MOBIUS_A:
-            got = g_from_mobius(h, MobiusDilatation(a, variant)).g.coeffs
-            assert_same_bits(got, mobius_numpy_scalar_loop(h, a, variant))
+            assert_same_nonzero_bits(got, mobius_numpy_scalar_loop(h, a, variant))
 
     @pytest.mark.parametrize("variant", ["plus", "minus"])
     @pytest.mark.parametrize("imag", [0.0, -0.0])
@@ -253,7 +321,7 @@ class TestBitsAgainstFrozenLoops:
         h = PowerSeries(c)
         for a in MOBIUS_A + list(rng.uniform(-1.0, 1.0, 4)):
             got = g_from_mobius(h, MobiusDilatation(a, variant)).g.coeffs
-            assert_same_bits(got, mobius_numpy_scalar_loop(h, a, variant))
+            assert_same_nonzero_bits(got, mobius_numpy_scalar_loop(h, a, variant))
 
     @pytest.mark.parametrize("variant", ["plus", "minus"])
     def test_mobius_zero_coefficients(self, variant):
@@ -262,7 +330,7 @@ class TestBitsAgainstFrozenLoops:
         h = PowerSeries(c)
         for a in MOBIUS_A + [0]:
             got = g_from_mobius(h, MobiusDilatation(a, variant)).g.coeffs
-            assert_same_bits(got, mobius_numpy_scalar_loop(h, a, variant))
+            assert_same_nonzero_bits(got, mobius_numpy_scalar_loop(h, a, variant))
 
     def test_mobius_sparse_signed_parts(self):
         # parts drawn from signed zeros and small integers, so that products
@@ -276,11 +344,11 @@ class TestBitsAgainstFrozenLoops:
             for a in (0.0, -0.0, 0.5, -0.5):
                 for variant in ("plus", "minus"):
                     got = g_from_mobius(h, MobiusDilatation(a, variant)).g.coeffs
-                    assert_same_bits(got, mobius_numpy_scalar_loop(h, a, variant))
+                    assert_same_nonzero_bits(got, mobius_numpy_scalar_loop(h, a, variant))
 
     def test_mobius_sparse_real_parts(self):
-        # +0.0 imaginary parts send h to the real chain; its zero parts and
-        # a = +-0 or +-1e-300 leave the signs of zeros to the coupled loop
+        # +0.0 imaginary parts send h to the float loop, whose zero parts and
+        # a = +-0 or +-1e-300 give zeros of either sign
         rng = np.random.default_rng(12)
         parts = np.array([0.0, -0.0, 1.0, -1.0, 2.0, 0.5])
         for _ in range(400):
@@ -290,12 +358,12 @@ class TestBitsAgainstFrozenLoops:
             for a in (0.0, -0.0, 1e-300, -1e-300, 0.5, -0.5):
                 for variant in ("plus", "minus"):
                     got = g_from_mobius(h, MobiusDilatation(a, variant)).g.coeffs
-                    assert_same_bits(got, mobius_numpy_scalar_loop(h, a, variant))
+                    assert_same_nonzero_bits(got, mobius_numpy_scalar_loop(h, a, variant))
 
     def test_mobius_order_one(self):
         h = PowerSeries([0.0, 1.0])
         got = g_from_mobius(h, MobiusDilatation(-0.5)).g.coeffs
-        assert_same_bits(got, mobius_numpy_scalar_loop(h, -0.5, "plus"))
+        assert_same_nonzero_bits(got, mobius_numpy_scalar_loop(h, -0.5, "plus"))
 
     @pytest.mark.parametrize("points", [1, 2, 3, 64, 130])
     def test_residual_matches_two_calls(self, points):
@@ -316,81 +384,6 @@ class TestBitsAgainstFrozenLoops:
         w = MobiusDilatation(0.4)
         for z in (0.3, 0.1 + 0.45j):
             assert dilatation_residual(f, w, z) == residual_two_calls(f, w, z)
-
-
-def with_imag(h, m, imag):
-    c = np.array(h.coeffs)
-    c.imag[m] = imag
-    return PowerSeries(c)
-
-
-def with_real(h, m, real):
-    c = np.array(h.coeffs)
-    c.real[m] = real
-    return PowerSeries(c)
-
-
-KOEBE_40 = make_map(NamedMap("koebe_analytic", order=40)).h
-
-# each case leaves some value the real chain's proof needs finite and
-# nonzero at zero, or has an imaginary part other than +0.0
-FALLBACKS = {
-    "a = +0": (KOEBE_40, 0.0),
-    "a = -0": (KOEBE_40, -0.0),
-    "a b_1 underflows": (KOEBE_40, 1e-300),
-    "an imaginary -0": (with_imag(KOEBE_40, 17, -0.0), 0.3),
-    "a zero real coefficient": (with_real(KOEBE_40, 9, 0.0), 0.3),
-}
-
-
-def spy_on_loop(monkeypatch):
-    calls = []
-    coupled = dilatation._mobius_coupled
-
-    def spy(*args):
-        calls.append(args)
-        return coupled(*args)
-
-    monkeypatch.setattr(dilatation, "_mobius_coupled", spy)
-    return calls
-
-
-class TestRealChainRoute:
-    """Every catalog h takes the real chain; each case it cannot prove runs the loop."""
-
-    @pytest.mark.parametrize("variant", ["plus", "minus"])
-    @pytest.mark.parametrize("record", MAP_TABLE, ids=lambda r: r.name)
-    def test_catalog_h_never_reaches_the_loop(self, record, variant, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("the coupled loop ran")
-
-        k = 0.5 if record.parametric else None
-        h = make_map(NamedMap(record.name, k=k, order=2000)).h
-        sign = 1.0 if variant == "plus" else -1.0
-        wants = {a: dilatation._mobius_coupled(h.coeffs, a, sign, a * h.coeffs[1])
-                 for a in (-0.9, -0.3, 0.3, 0.9)}
-        monkeypatch.setattr(dilatation, "_mobius_coupled", refuse)
-        for a, want in wants.items():
-            assert_same_bits(g_from_mobius(h, MobiusDilatation(a, variant)).g.coeffs, want)
-
-    @pytest.mark.parametrize("variant", ["plus", "minus"])
-    @pytest.mark.parametrize("case", FALLBACKS)
-    def test_fallback_runs_the_loop_with_the_frozen_bits(self, case, variant, monkeypatch):
-        calls = spy_on_loop(monkeypatch)
-        h, a = FALLBACKS[case]
-        got = g_from_mobius(h, MobiusDilatation(a, variant)).g.coeffs
-        assert len(calls) == 1
-        assert_same_bits(got, mobius_numpy_scalar_loop(h, a, variant))
-
-    @pytest.mark.parametrize("variant", ["plus", "minus"])
-    def test_overflow_runs_the_loop_and_is_refused(self, variant, monkeypatch):
-        # a_12 = 1e308 makes t a_12 and so b_12 infinite; either route then
-        # builds a b that PowerSeries refuses, but only the loop's is proven
-        calls = spy_on_loop(monkeypatch)
-        h = with_real(KOEBE_40, 12, 1e308)
-        with pytest.raises(ValueError, match="series coefficients must be finite"):
-            g_from_mobius(h, MobiusDilatation(0.9, variant))
-        assert len(calls) == 1
 
 
 class TestDilatationResidual:
