@@ -60,13 +60,14 @@ class BohrProfile:
         tails = np.array(self.tail_bounds, dtype=np.float64)
         if r.ndim != 1 or sums.shape != r.shape or tails.shape != r.shape:
             raise ValueError("grid, sums, and tails must be 1-d and equal length")
-        # written as "all inside" so that NaN, which fails every comparison, is refused
-        if not (np.all((r >= 0.0) & (r < 1.0)) and np.all(np.diff(r) > 0.0)):
+        # written as "all inside" so that NaN, which fails every comparison, is
+        # refused, and inf with it
+        if not (((r >= 0.0) & (r < 1.0)).all() and (r[1:] > r[:-1]).all()):
             raise ValueError("r_grid must be strictly increasing within [0, 1)")
-        if not (np.all(sums >= 0.0) and np.all(np.diff(sums) >= 0.0)):
-            raise ValueError("partial sums must be nonnegative and nondecreasing")
-        if not np.all(tails >= 0.0):
-            raise ValueError("tail bounds must be nonnegative")
+        if not (((sums >= 0.0) & (sums < math.inf)).all() and (sums[1:] >= sums[:-1]).all()):
+            raise ValueError("partial sums must be finite, nonnegative and nondecreasing")
+        if not ((tails >= 0.0) & (tails < math.inf)).all():
+            raise ValueError("tail bounds must be finite and nonnegative")
         _check_param("bound", self.bound)
         _check_count("M", self.M, 0)
         verdicts = sums + _rounding_bound(sums, self.M) + tails <= self.bound
@@ -80,7 +81,7 @@ class BohrProfile:
 
     @property
     def all_pass(self) -> bool:
-        return bool(np.all(self.verdicts))
+        return bool(self.verdicts.all())
 
     def to_dict(self) -> dict:
         return {
@@ -187,11 +188,13 @@ def _sums(moduli: np.ndarray, rs) -> list[float]:
     n = rs.size
     # each route ends on lo <= hi per radius, and closes the radii where they are equal
     if t <= m0:
-        lo = _horner(moduli[t : t + m0], rs, [0.0] * n)
+        lo = _horner(moduli[t : t + m0], rs, np.zeros(n))
         hi = _horner(moduli[t : t + 1], rs, lo)
         out = _horner(moduli[:t], rs, lo) if t else lo
     else:
-        both = _horner(moduli[:m0], np.concatenate((rs, rs)), [0.0] * n + [U] * n)
+        seeds = np.zeros(2 * n)
+        seeds[n:] = U
+        both = _horner(moduli[:m0], np.concatenate((rs, rs)), seeds)
         out = lo = both[:n]
         hi = both[n:]
     if lo != hi:
@@ -224,33 +227,35 @@ def _head_length(moduli: np.ndarray, r_max: float, cmax: float) -> int:
 
 def _full_chain(moduli: np.ndarray, rs: np.ndarray) -> list[float]:
     """The whole Horner chain from 0 for each radius."""
-    return _horner(moduli, rs, [0.0] * len(rs))
+    return _horner(moduli, rs, np.zeros(len(rs)))
 
 
 def _horner(moduli: np.ndarray, rs: np.ndarray, seeds) -> list[float]:
     """acc = seed, then acc = (acc + c) * r for c = moduli[-1] down to moduli[0], per radius.
 
-    Every sum ``_sums`` returns leaves through here, so this is where a sum
-    that overflowed, in either form, is refused.
+    Seeds may be an array or a list; the sums come back as a list of Python
+    floats in either form.  Every sum ``_sums`` returns leaves through here,
+    so this is where a sum that overflowed, in either form, is refused.
     """
     coeffs = moduli[::-1].tolist()
     if len(rs) >= HORNER_VECTOR_RADII:
         acc = np.array(seeds, dtype=np.float64)
-        # the float form overflows to inf silently; the check below speaks for both
+        # overflow to inf stays silent here, as in the float form; each form refuses it below
         with np.errstate(over="ignore", invalid="ignore"):
             for c in coeffs:
                 acc += c
                 acc *= rs
-        out = acc.tolist()
+        if np.isfinite(acc).all():
+            return acc.tolist()
     else:
         out = []
-        for r, acc in zip(rs.tolist(), seeds):
+        for r, acc in zip(rs.tolist(), map(float, seeds)):
             for c in coeffs:
                 acc = (acc + c) * r
             out.append(acc)
-    if not all(map(math.isfinite, out)):
-        raise ValueError("Bohr sum overflows binary64: the coefficient moduli are too large")
-    return out
+        if all(map(math.isfinite, out)):
+            return out
+    raise ValueError("Bohr sum overflows binary64: the coefficient moduli are too large")
 
 
 def _rounding_bound(sums, M: int):
@@ -311,7 +316,7 @@ def verify_inequality(
         tails = np.zeros(grid_size)
     else:
         # the grid lies in [0, 1) and M is checked, so m2_tail's checks are skipped
-        tails = [tail_constant * t for t in _m2_tails(grid.tolist(), len(moduli))]
+        tails = tail_constant * np.array(_m2_tails(grid.tolist(), len(moduli)))
     return BohrProfile(
         map_id=map_id,
         r_grid=grid,
@@ -372,7 +377,7 @@ def boundary_reach(
     else:
         raise TypeError("map_spec must be a NamedMap or HarmonicMap")
     moduli = np.abs(values)
-    return float(np.max(moduli)), float(np.min(moduli))
+    return float(moduli.max()), float(moduli.min())
 
 
 def check_pairing(spec: NamedMap, p: RadiusProblem, bound: float | None = None) -> dict:

@@ -40,17 +40,20 @@ def _half(z):
     return z / (1.0 - z)
 
 
+# Each power is taken once and shared by h and g; the operations and their
+# order are those of the expressions written out in full, so are the bits.
 def _harmonic_koebe(z, k):
-    one = 1.0 - z
-    h = (z - z**2 / 2.0 + z**3 / 6.0) / one**3
-    g = (z**2 / 2.0 + z**3 / 6.0) / one**3
+    half, sixth, cube = z**2 / 2.0, z**3 / 6.0, (1.0 - z) ** 3
+    h = (z - half + sixth) / cube
+    g = (half + sixth) / cube
     return h + np.conj(g)
 
 
 def _half_plane_L(z, k):
-    one = 1.0 - z
-    h = (z - z**2 / 2.0) / one**2
-    g = -(z**2) / 2.0 / one**2
+    # -z2 / 2.0 is (-z2) / 2.0: complex division can give -(z2 / 2.0) another zero sign
+    z2, square = z**2, (1.0 - z) ** 2
+    h = (z - z2 / 2.0) / square
+    g = -z2 / 2.0 / square
     return h + np.conj(g)
 
 
@@ -175,8 +178,8 @@ def closed_form_eval(spec: NamedMap, z):
     moderate |z| the series and this evaluation must agree to rounding.
     """
     zs = np.asarray(z, dtype=np.complex128)
-    if not np.all(np.isfinite(zs)):
+    if not np.isfinite(zs).all():
         raise ValueError("evaluation points must be finite")
-    if np.any(np.abs(zs) >= 1.0):
+    if (np.abs(zs) >= 1.0).any():
         raise ValueError("closed forms are only valid for |z| < 1")
     return spec.record.closed_form(zs, spec.k)

@@ -69,10 +69,21 @@ _PARAM_RULES = (
 )
 
 
+# Each argument's (test, message) rows in table order, so that a check reads
+# only its own rows; an argument the table does not name is a KeyError.
+_PARAM_INDEX = {
+    name: tuple((test, message) for param, test, message in _PARAM_RULES if param == name)
+    for name, _, _ in _PARAM_RULES
+}
+
+
 def _check_param(name: str, value) -> None:
     """Raise the message of the first rule on ``name`` that value breaks; a bool breaks all."""
-    for param, test, message in _PARAM_RULES:
-        if param == name and (_is_bool(value) or not test(value)):
+    rows = _PARAM_INDEX[name]
+    if _is_bool(value):
+        raise ValueError(rows[0][1])
+    for test, message in rows:
+        if not test(value):
             raise ValueError(message)
 
 
@@ -91,7 +102,7 @@ class PowerSeries:
         arr = np.array(self.coeffs, dtype=np.complex128, copy=True).reshape(-1)
         if arr.size == 0:
             raise ValueError("a series needs at least the constant coefficient")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("series coefficients must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "coeffs", arr)

@@ -21,6 +21,7 @@ from bohrmap import (
     RadiusProblem,
     bohr_partial_sum,
     boundary_reach,
+    check_domination,
     check_pairing,
     default_bound_inputs,
     domination_campaign,
@@ -29,6 +30,7 @@ from bohrmap import (
     majorant_value,
     make_map,
     profile_for_named_map,
+    random_schwarz,
     sharpness_scan,
     solve_radius,
     verify_inequality,
@@ -138,12 +140,37 @@ class TestBohrProfile:
         "r, sums, tails",
         [([0.0, math.nan], [0.0, 0.1], [0.0, 0.0]),
          ([0.0, 0.1], [0.0, math.nan], [0.0, 0.0]),
-         ([0.0, 0.1], [0.0, 0.1], [0.0, math.nan])],
+         ([0.0, 0.1], [0.0, 0.1], [0.0, math.nan]),
+         ([0.0, 0.1, 0.2], [0.0, 0.5, math.inf], [0.0, 0.0, 0.0]),
+         ([0.0, 0.1, 0.2], [0.0, math.inf, math.inf], [0.0, 0.0, 0.0]),
+         ([0.0, 0.1, 0.2], [0.0, 0.5, 0.6], [0.0, 0.0, math.inf]),
+         ([0.0, 0.1, math.inf], [0.0, 0.5, 0.6], [0.0, 0.0, 0.0])],
     )
     def test_rejects_nan(self, r, sums, tails):
-        # NaN fails every comparison, so it must not read as in range
+        # NaN fails every comparison, so it must not read as in range; an
+        # infinite sum or tail is refused as such, for M = 0 as well, where
+        # the rounding term would be 0 * inf, and with no numpy warning
         with pytest.raises(ValueError):
             BohrProfile("t", np.array(r), np.array(sums), np.array(tails), 1.0)
+
+    def test_rejects_equal_radii(self):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            BohrProfile("t", [0.0, 0.1, 0.1], [0.0, 0.5, 0.6], [0.0, 0.0, 0.0], 1.0)
+
+    @pytest.mark.parametrize(
+        "r, sums, tails, verdicts",
+        [([0.3], [0.5], [0.0], [True]),
+         ([], [], [], []),
+         ([-0.0, 0.1, 0.2], [0.0, 0.5, 0.5], [-0.0, -0.0, 0.6], [True, True, False]),
+         ([0.0, 5e-324], [0.0, 0.0], [0.0, 1.0], [True, True])],
+        ids=["one point", "empty", "signed zeros and equal sums", "subnormal step"],
+    )
+    def test_accepts_edge_grids(self, r, sums, tails, verdicts):
+        # a one-point or empty grid, -0.0 radii and tails, equal
+        # consecutive sums and the smallest step between radii all pass
+        # the checks
+        prof = BohrProfile("t", r, sums, tails, 1.0, M=3)
+        assert prof.verdicts.tolist() == verdicts
 
     def test_rejects_infinite_bound(self):
         # with bound = inf every verdict would be a pass
@@ -436,6 +463,29 @@ class TestSumKernel:
                 sharpness_scan(make_map(spec), p, 0.01, **default_bound_inputs(spec, p))
         assert domination_campaign(seeds=range(16))["all_pass"]
         assert max(heads) <= 100
+
+
+class TestFloatResults:
+    """Sums leave the kernel as Python floats in either Horner form, never as numpy scalars."""
+
+    @pytest.mark.parametrize("vector_from", [1, 10**9], ids=["vector", "float"])
+    def test_python_floats(self, vector_from, monkeypatch):
+        # the sandwich seeds its chains from one array and the constant tail
+        # from zeros: both forms hand back floats, also to the callers whose
+        # results are their own arithmetic on the sums
+        import bohrmap.bohr
+
+        monkeypatch.setattr(bohrmap.bohr, "HORNER_VECTOR_RADII", vector_from)
+        for name, k in (("f0_sharp", None), ("half_plane_L", None), ("q_k", 0.5)):
+            f = make_map(NamedMap(name, k=k, order=2000))
+            moduli = f.coefficient_moduli()[1:]
+            for n in (1, 7, 40, 256):
+                assert {type(s) for s in _sums(moduli, np.linspace(0.0, 0.34, n))} == {float}
+            assert [type(x) for x in bohr_partial_sum(f, 0.3)] == [float, float]
+        spec, p = extremal_pairing("half_plane_L", "thm211_convex")
+        assert type(sharpness_scan(make_map(spec), p, 0.01)) is float
+        koebe = make_map(NamedMap("koebe_analytic", order=200)).h
+        assert type(check_domination(koebe, random_schwarz(1, 3))) is float
 
 
 class TestOverflowIsRefused:

@@ -10,8 +10,10 @@ from bohrmap import (
     circle_grid,
     closed_form_eval,
     eval_harmonic,
+    extremal_pairing,
     make_map,
     resolve_name,
+    solve_radius,
 )
 from bohrmap.catalog import MAP
 
@@ -144,8 +146,16 @@ class TestClosedForms:
 
 
 # The closed forms of f0, p_k and q_k as they were written before each
-# evaluated its Koebe or half-plane map once; the bits must not move.
+# evaluated its Koebe or half-plane map once, and those of K and L before
+# each took its powers once; the bits must not move.
 FROZEN_CLOSED_FORMS = {
+    "harmonic_koebe_K": lambda z, k: (
+        (z - z**2 / 2.0 + z**3 / 6.0) / (1.0 - z) ** 3
+        + np.conj((z**2 / 2.0 + z**3 / 6.0) / (1.0 - z) ** 3)
+    ),
+    "half_plane_L": lambda z, k: (
+        (z - z**2 / 2.0) / (1.0 - z) ** 2 + np.conj(-(z**2) / 2.0 / (1.0 - z) ** 2)
+    ),
     "f0_sharp": lambda z, k: (
         z / (1.0 - z) ** 2
         + np.conj(z / (1.0 - z) ** 2 - 2.0 * (z / (1.0 - z)) - np.log1p(-z))
@@ -159,10 +169,15 @@ class TestClosedFormBits:
     @pytest.mark.parametrize("name", sorted(FROZEN_CLOSED_FORMS))
     @pytest.mark.parametrize("k", [0.0, 0.3, 1.0])
     def test_circle_grid_bits(self, name, k):
+        # verify's boundary reach evaluates a map on 4096 points at the
+        # radius of each variant it is a member of; at 0.9, 1 - z is small
         spec = NamedMap(name, k=k if MAP[name].parametric else None)
-        z = circle_grid(0.3484, 4096)
-        want = FROZEN_CLOSED_FORMS[name](z, spec.k)
-        assert closed_form_eval(spec, z).tobytes() == want.tobytes()
+        radii = [solve_radius(extremal_pairing(name, v, K=3.0)[1]).root
+                 for v in MAP[name].member_of]
+        for r in [0.3484, *radii, 0.9]:
+            z = circle_grid(r, 4096)
+            want = FROZEN_CLOSED_FORMS[name](z, spec.k)
+            assert closed_form_eval(spec, z).tobytes() == want.tobytes(), r
 
     @pytest.mark.parametrize("name", sorted(FROZEN_CLOSED_FORMS))
     @pytest.mark.parametrize("z", [0.0, 0.1, -0.999, 0.25 - 0.5j, 0.7j, complex(-0.0, 0.3)])
