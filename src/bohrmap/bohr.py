@@ -18,8 +18,8 @@ import numpy as np
 
 from .catalog import MAP, NamedMap, closed_form_eval, make_map
 from .radii import VARIANT, RadiusProblem, _m2_tails, m2_tail
-from .series import DEFAULT_ORDER, HarmonicMap, _check_count, _check_param, circle_grid
-from .series import evaluate_on_circle
+from .series import DEFAULT_ORDER, HarmonicMap, _check_count, _check_param, _circle_spectrum
+from .series import circle_grid
 from .solver import solve_radius
 
 DEFAULT_MARGIN = 1e-3
@@ -183,8 +183,12 @@ def _sums(moduli: np.ndarray, rs) -> list[float]:
     m0 = _head_length(moduli, r_max, cmax) if U + cmax <= 2.0**1000 else M
     if m0 == M:
         return _full_chain(moduli, rs)
-    varying = np.flatnonzero(moduli != moduli[-1])
-    t = int(varying[-1]) + 1 if varying.size else 0
+    # the route reads t only as t <= m0, and a modulus at index m0 that
+    # differs from the last already gives t > m0, with no O(M) scan
+    t = m0 + 1
+    if moduli[m0] == moduli[-1]:
+        varying = np.flatnonzero(moduli != moduli[-1])
+        t = int(varying[-1]) + 1 if varying.size else 0
     n = rs.size
     # each route ends on lo <= hi per radius, and closes the radii where they are equal
     if t <= m0:
@@ -316,7 +320,7 @@ def verify_inequality(
         tails = np.zeros(grid_size)
     else:
         # the grid lies in [0, 1) and M is checked, so m2_tail's checks are skipped
-        tails = tail_constant * np.array(_m2_tails(grid.tolist(), len(moduli)))
+        tails = tail_constant * _m2_tails(grid, len(moduli))
     return BohrProfile(
         map_id=map_id,
         r_grid=grid,
@@ -363,17 +367,26 @@ def boundary_reach(
     """(max |f|, min |f|) over equally spaced points of the circle |z| = r.
 
     Named maps are evaluated from their closed forms, arbitrary harmonic
-    maps from their truncated series, h + conj(g) by one inverse FFT
-    (``evaluate_on_circle``).  The minimum is the sampled distance
-    from f(0) = 0 to the image curve; no exact boundary distance is
-    computed.
+    maps from their truncated series through the circle spectrum F of
+    ``evaluate_on_circle``, in which h's a_m r^m and g's conj(b_m) r^m sit
+    at frequencies m and -m.  A complex F takes f = samples * ifft(F).  A
+    real F (every catalog map) makes f at w^-j the complex conjugate of f
+    at w^j, w = exp(2 pi i / samples), so the moduli at j = 0..samples/2
+    are all of them; one ``np.fft.rfft(F.real)`` gives f at those w^-j,
+    sum_k F_k w^(-jk), at about half the inverse FFT's cost, and equal to
+    its values up to rounding.  The minimum is the sampled distance from
+    f(0) = 0 to the image curve; no exact boundary distance is computed.
     """
     _check_param("reach r", r)
     _check_count("samples", samples, 64)
     if isinstance(map_spec, NamedMap):
         values = closed_form_eval(map_spec, circle_grid(r, samples))
     elif isinstance(map_spec, HarmonicMap):
-        values = evaluate_on_circle(map_spec, r, samples)
+        spectrum = _circle_spectrum(map_spec, r, samples)
+        if spectrum.imag.any():
+            values = samples * np.fft.ifft(spectrum)
+        else:
+            values = np.fft.rfft(spectrum.real)
     else:
         raise TypeError("map_spec must be a NamedMap or HarmonicMap")
     moduli = np.abs(values)

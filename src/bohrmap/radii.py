@@ -267,29 +267,43 @@ def m2_tail(r: float, M: int) -> float:
     """
     _check_param("r", r)
     _check_count("M", M, 0)
-    (tail,) = _m2_tails([r], M)
-    return tail
+    r, N = float(r), M + 1
+    # the underflow cut of _m2_tails on one radius; r = +0.0 takes pow, which gives +0.0 too
+    return 0.0 if 0.0 < r < _underflow_cut(N) else _m2_tail_pow(r, N)
 
 
-def _m2_tails(rs: list[float], M: int) -> list[float]:
-    """m2_tail(r, M) for each Python float r, with r and M already checked.
+def _underflow_cut(N: int) -> float:
+    """B = 2^(-1100/N) (1 - 2^-40): below it r^N underflows to +0.0 (see ``_m2_tails``)."""
+    return 2.0 ** (-1100.0 / N) * (1.0 - 2.0**-40)
 
-    Python floats keep libm's pow, so each value is m2_tail's bit for bit.
-    A radius r > 0 with log2(r) < -1100/N skips pow and gets +0.0, which is
-    what pow's route gives there.  log2 and the division are within an ulp,
-    so N log2(r) < -1099 and r^N < 2^-1099, far below half the smallest
-    subnormal (2^-1075), where pow returns +0.0 (slowly: 0.3 us a radius,
-    against 0.05 us for the log).  The numerator N^2 (1-r)^2 + 2N r (1-r)
-    + r (1+r) is computed as (N (1-r) + r)^2 + r, a square plus r, so for
-    0 < r < 1 its float is at least r > 0 whatever N is, and +0.0 times it
-    over (1-r)^3 is +0.0.  r = 0 and r = -0.0 (whose odd powers keep the
-    sign) take pow.
+
+def _m2_tail_pow(r: float, N: int) -> float:
+    """m2_tail's closed form for a Python float r, by libm's pow."""
+    s = 1.0 - r
+    return float(r**N * ((N * s + r) ** 2 + r) / s**3)
+
+
+def _m2_tails(rs: np.ndarray, M: int) -> np.ndarray:
+    """m2_tail(r, M) for each radius of a float64 array, with rs and M already checked.
+
+    Each value is that of ``_m2_tail_pow`` (libm's pow on a Python float),
+    bit for bit, and most of them never call it.  Every radius r in
+    [+0.0, B) gets +0.0 from one array comparison, B = ``_underflow_cut(N)``
+    = fl(fl(2^fl(-1100/N)) (1 - 2^-40)), N = M + 1.  For N >= 2 the
+    exponent is within a relative 2^-53 of -1100/N, which is at most 550
+    in size, so 2^fl(-1100/N) < 2^(-1100/N) (1 + 2^-44); pow and the
+    product are within an ulp each, and the slack 2^-40 outweighs the
+    three factors, so B < 2^(-1100/N).  (N = 1 gives B = +0.0, or the
+    smallest subnormal, and no radius but a zero below it.)  So r < B gives
+    N log2(r) < -1100 and r^N < 2^-1100, far below half the smallest
+    subnormal (2^-1075), where pow returns +0.0 (slowly: 0.3 us a radius).
+    The numerator (N (1-r) + r)^2 + r, a square plus r, is a positive float
+    for 0 <= r < 1, and +0.0 times it over (1-r)^3 is +0.0.  r = +0.0
+    itself gives 0^N = +0.0 by pow, so it joins the cut; r = -0.0, whose
+    odd powers keep the sign, and every r >= B take pow.
     """
     N = M + 1
-    cut = -1100.0 / N
-    # s = 1 - r, bound as the numerator is read, so the denominator reuses it
-    return [
-        0.0 if r > 0.0 and math.log2(r) < cut
-        else float(r**N * ((N * (s := 1.0 - r) + r) ** 2 + r) / s**3)
-        for r in rs
-    ]
+    tails = np.zeros(len(rs))
+    slow = np.flatnonzero((rs >= _underflow_cut(N)) | np.signbit(rs))
+    tails[slow] = [_m2_tail_pow(r, N) for r in rs[slow].tolist()]
+    return tails

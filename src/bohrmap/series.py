@@ -560,6 +560,12 @@ def evaluate_on_circle(f: PowerSeries | HarmonicMap, radius: float, samples: int
     out of the same inverse FFT.  ``evaluate`` and ``eval_harmonic`` stay
     the way to arbitrary points.
     """
+    # np.fft is loaded on first use, which keeps it out of ``import bohrmap``
+    return samples * np.fft.ifft(_circle_spectrum(f, radius, samples))
+
+
+def _circle_spectrum(f: PowerSeries | HarmonicMap, radius: float, samples: int) -> np.ndarray:
+    """F of ``evaluate_on_circle``: f's terms at ``radius`` folded onto ``samples`` frequencies."""
     _check_circle(radius, samples)
     if isinstance(f, HarmonicMap):
         h, b = f.h.coeffs, f.g.coeffs[1:]
@@ -581,5 +587,4 @@ def evaluate_on_circle(f: PowerSeries | HarmonicMap, radius: float, samples: int
     folded = np.zeros(-(-(len(h) + len(b)) // samples) * samples, dtype=np.complex128)
     folded[: len(h)] = h * powers
     folded[len(folded) - len(b) :] = (np.conj(b) * powers[1 : len(b) + 1])[::-1]
-    # np.fft is loaded on first use, which keeps it out of ``import bohrmap``
-    return samples * np.fft.ifft(folded.reshape(-1, samples).sum(axis=0))
+    return folded.reshape(-1, samples).sum(axis=0)

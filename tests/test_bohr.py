@@ -25,6 +25,7 @@ from bohrmap import (
     check_pairing,
     default_bound_inputs,
     domination_campaign,
+    evaluate_on_circle,
     extremal_pairing,
     g_from_monomial,
     majorant_value,
@@ -37,6 +38,7 @@ from bohrmap import (
 )
 from bohrmap.bohr import HORNER_VECTOR_RADII, _rounding_bound, _sums
 from bohrmap.catalog import MAP
+from bohrmap.series import _circle_spectrum
 from bohrmap.radii import VARIANT
 
 # frozen reference values; 0.3485 is a point just past the cor25 n=1 radius
@@ -414,6 +416,35 @@ class TestSumKernel:
                     m.setattr(bohrmap.bohr, "_full_chain", full_chain)
                 assert [s.hex() for s in _sums(moduli, rs)] == want
 
+    @pytest.mark.parametrize("n", [1, 256])
+    def test_route_at_the_head_boundary(self, n, monkeypatch):
+        # the constant-tail scan runs only where the modulus at index m0
+        # equals the last one: varying moduli with that one equal must still
+        # take the sandwich, and a constant tail from t = m0 - 1 to m0 + 2
+        # takes its own route, the fixed point up to t = m0 and the sandwich
+        # after it; each closes every radius on the full chain's bits
+        import bohrmap.bohr
+
+        def full_chain(moduli, rs):
+            raise AssertionError("the full chain ran")
+
+        monkeypatch.setattr(bohrmap.bohr, "_full_chain", full_chain)
+
+        rng = np.random.default_rng(1)
+        rs = np.linspace(0.0, 0.5, n + 1)[1:]
+        moduli = rng.uniform(1.0, 2.0, 400)
+        # the first modulus and the largest fix m0, whatever the tail holds
+        moduli[:2] = 1.0, 2.0
+        m0 = bohrmap.bohr._head_length(moduli, 0.5, 2.0)
+        assert 2 < m0 < 100
+        cases = [moduli.copy()]
+        cases[0][m0] = cases[0][-1]
+        for t in (m0 - 1, m0, m0 + 1, m0 + 2):
+            cases.append(moduli.copy())
+            cases[-1][t:] = 1.5
+        for case in cases:
+            assert [s.hex() for s in _sums(case, rs)] == [s.hex() for s in full_horner(case, rs)]
+
     @pytest.mark.parametrize("name, k", [("f0_sharp", None), ("half_plane_analytic", None),
                                          ("q_k", 0.5)], ids=["f0_sharp", "half_plane", "q_k"])
     def test_any_head_length_gives_the_full_chain(self, monkeypatch, name, k):
@@ -663,6 +694,37 @@ class TestBoundaryReach:
         series = boundary_reach(make_map(spec), root)
         closed = boundary_reach(spec, root)
         assert series == pytest.approx(closed, abs=1e-9, rel=0)
+
+    @pytest.mark.parametrize("order", [60, 2000])
+    @pytest.mark.parametrize("record", MAP_TABLE, ids=lambda r: r.name)
+    def test_real_spectrum_matches_the_inverse_fft(self, record, order):
+        # every catalog map has a real circle spectrum, so its moduli come
+        # from one rfft, which may differ from |evaluate_on_circle| only in
+        # rounding; at order 2000, 64, 100 and 257 samples fold the spectrum
+        # and 4096 holds it unfolded, and at order 60 only 64 and 100 fold.
+        # An FFT's rounding is normwise, so both are measured against the
+        # largest modulus: K's minimum on 100 samples at thm210's radius is
+        # 0.1428571428571428 by rfft and 0.14285714285714302 by ifft, 1.6e-15
+        # of itself apart and 2.2e-16 of the maximum, 1.0
+        spec, p = extremal_pairing(record.name, record.member_of[0], K=3.0, order=order)
+        f, root = make_map(spec), solve_radius(p).root
+        for samples in (64, 100, 257, 4096):
+            assert not _circle_spectrum(f, root, samples).imag.any()
+            moduli = np.abs(evaluate_on_circle(f, root, samples))
+            mx, mn = boundary_reach(f, root, samples)
+            assert abs(mx - moduli.max()) <= 1e-15 * moduli.max()
+            assert abs(mn - moduli.min()) <= 1e-15 * moduli.max()
+
+    @pytest.mark.parametrize("samples", [64, 257, 4096])
+    def test_complex_spectrum_keeps_the_inverse_fft(self, samples):
+        # a rotated dilatation gives g complex coefficients: the moduli are
+        # those of evaluate_on_circle, bit for bit
+        h = make_map(NamedMap("koebe_analytic")).h
+        f = g_from_monomial(h, MonomialDilatation(0.5, 0.7, 1))
+        assert _circle_spectrum(f, 0.3, samples).imag.any()
+        moduli = np.abs(evaluate_on_circle(f, 0.3, samples))
+        mx, mn = boundary_reach(f, 0.3, samples)
+        assert (mx.hex(), mn.hex()) == (float(moduli.max()).hex(), float(moduli.min()).hex())
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

@@ -46,15 +46,23 @@ def m2_tail_mpmath(r, M):
 
 @st.composite
 def tail_inputs(draw):
-    """Radii in [0, 1), zeros, subnormals and the underflow cut among them, and M >= 0."""
-    # M up to 2^50, where the underflow cut is within 2^-40 of 1
-    M = draw(st.sampled_from([0, 1, 5, 60, 200, 2000, 10000, 2**32 - 1, 2**32, 10**14])
+    """A whole unsorted grid of radii in [0, 1), with the cuts among them, and M >= 0.
+
+    The grid holds zeros of both signs, subnormals, the smallest normal, the
+    underflow cut B = 2^(-1100/N) (1 - 2^-40) and 2^(-1100/N) with their
+    neighbours, radii within 1e-12 of B and radii drawn from all of [0, 1).
+    """
+    # M up to 2^50, where the underflow cut is within 2e-12 of 1
+    M = draw(st.sampled_from([0, 1, 5, 60, 200, 2000, 10000, 2**32 - 1, 2**32, 10**14, 2**50])
              | st.integers(0, 2**50))
-    cut = 2.0 ** (-1100.0 / (M + 1))
-    edges = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, cut,
-             math.nextafter(cut, 0.0), math.nextafter(cut, 1.0)]
-    radius = st.sampled_from([r for r in edges if r < 1.0]) | st.floats(0.0, 1.0, exclude_max=True)
-    return draw(st.lists(radius, min_size=1, max_size=16)), M
+    B = 2.0 ** (-1100.0 / (M + 1)) * (1.0 - 2.0**-40)
+    edges = [0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308]
+    for cut in (2.0 ** (-1100.0 / (M + 1)), B):
+        edges += [cut, math.nextafter(cut, 0.0), math.nextafter(cut, 1.0)]
+    radius = (st.sampled_from([r for r in edges if r < 1.0])
+              | st.floats(B * (1.0 - 1e-12), min(B * (1.0 + 1e-12), math.nextafter(1.0, 0.0)))
+              | st.floats(0.0, 1.0, exclude_max=True))
+    return draw(st.lists(radius, min_size=1, max_size=300)), M
 
 
 class TestResolution:
@@ -365,9 +373,19 @@ class TestIdentities:
     @given(tail_inputs())
     @settings(max_examples=300, deadline=None)
     def test_m2_tails_equal_the_pow_route(self, case):
-        # bit for bit, signed zeros included, underflow cut or not
+        # bit for bit, signed zeros included, underflow cut or not: the whole
+        # grid at once, and each radius alone through m2_tail's scalar cut
         rs, M = case
-        assert [t.hex() for t in _m2_tails(rs, M)] == [t.hex() for t in m2_tails_by_pow(rs, M)]
+        want = [t.hex() for t in m2_tails_by_pow(rs, M)]
+        assert [t.hex() for t in _m2_tails(np.array(rs), M).tolist()] == want
+        assert [m2_tail(r, M).hex() for r in rs] == want
+
+    def test_m2_tail_is_a_python_float(self):
+        # inside the underflow cut (0.3 at order 2000), past it (0.9), at
+        # +0.0 and from a numpy radius; bohr_partial_sum's tail, this times
+        # its constant, is pinned in test_bohr.py's TestFloatResults
+        for r in (0.3, 0.9, 0.0, np.float64(0.3)):
+            assert type(m2_tail(r, 2000)) is float
 
     def test_identity_check_input_validation(self):
         ident = IDENTITIES["sum_rm"]
