@@ -13,7 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import HarmonicMap, PowerSeries, _check_param, _evaluate_rows, term_differentiate
+from .series import (
+    HarmonicMap,
+    PowerSeries,
+    _check_param,
+    _evaluate_rows,
+    circle_grid,
+    evaluate_on_circle,
+    term_differentiate,
+)
 
 MOBIUS_VARIANTS = ("plus", "minus")
 
@@ -121,15 +129,21 @@ def dilatation_residual(f: HarmonicMap, w, points) -> float:
 
     w is any callable accepting complex arrays.  For a co-analytic part
     produced by the constructors above the residual is limited only by the
-    truncation tail at |z| < 1 and by rounding.  g' and h' run as the two
-    rows of one Horner chain.
+    truncation tail at |z| < 1 and by rounding.  Where points is bit for bit
+    ``circle_grid(r, n)``, g' and h' come from ``evaluate_on_circle``, one
+    fold and inverse FFT each; at any other points they run as the two rows
+    of one Horner chain.  w is evaluated at the points as given.
     """
     pts = np.atleast_1d(np.asarray(points, dtype=np.complex128))
     if pts.size == 0:
         raise ValueError("points is empty: the residual is a max over at least one point")
-    gp, hp = _evaluate_rows(
-        (term_differentiate(f.g).coeffs, term_differentiate(f.h).coeffs), pts
-    )
+    gd, hd = term_differentiate(f.g), term_differentiate(f.h)
+    # a circle grid's first point is r + 0j exactly
+    r, n = float(pts.flat[0].real), pts.size
+    if pts.ndim == 1 and 0.0 <= r < 1.0 and pts.tobytes() == circle_grid(r, n).tobytes():
+        gp, hp = evaluate_on_circle(gd, r, n), evaluate_on_circle(hd, r, n)
+    else:
+        gp, hp = _evaluate_rows((gd.coeffs, hd.coeffs), pts)
     res = gp - np.asarray(w(pts), dtype=np.complex128) * hp
     return float(np.max(np.abs(res)))
 

@@ -278,9 +278,17 @@ def _underflow_cut(N: int) -> float:
 
 
 def _m2_tail_pow(r: float, N: int) -> float:
-    """m2_tail's closed form for a Python float r, by libm's pow."""
+    """m2_tail's closed form for a Python float r, by libm's pow.
+
+    A zero r^N is the tail, sign included: the factor it multiplies is a
+    positive float wherever it is finite, and past N^2 (1-r)^2 ~ 2^1024,
+    where r^N has long underflowed, forming it would overflow.
+    """
+    p = r**N
+    if p == 0.0:
+        return p
     s = 1.0 - r
-    return float(r**N * ((N * s + r) ** 2 + r) / s**3)
+    return float(p * ((N * s + r) ** 2 + r) / s**3)
 
 
 def _m2_tails(rs: np.ndarray, M: int) -> np.ndarray:

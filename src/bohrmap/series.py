@@ -157,75 +157,30 @@ def evaluate(series: PowerSeries, z):
 
 # Coefficient values in one block of ``_evaluate_rows``'s step table: 64 KB,
 # or one term when the accumulator alone is larger.  With 2 rows at 64
-# points (a dilatation residual) a block is 32 terms; 64 and 256 KB blocks
-# ran alike there, 16 KB and 1 MB ones 25-75% slower (2-vCPU Xeon, numpy
-# 2.4).
+# points a block is 32 terms; 64 and 256 KB blocks ran alike there, 16 KB
+# and 1 MB ones 25-75% slower (2-vCPU Xeon, numpy 2.4).
 _ROWS_TABLE_VALUES = 1 << 12
-# The head is sized so that, to first order, its box ends 2^-64 of the
-# smallest leading coefficient wide, well inside half an ulp.
-_HEAD_MARGIN = 64 * math.log(2.0)
-# A head of m0 + 1 box steps runs where _HEAD_STEP_COST * (m0 + 1) <= M.  A
-# box step (a product on 4 W values, a gather and a broadcast add) takes
-# 2.5-5 plain steps on W values, and the head's setup and closure test
-# 40-100 more; on random complex rows at |z| = 0.2 and 0.5 the head and
-# the plain chain broke even at M = 4-7 (m0 + 1) for W = 16 to 256, so
-# from 7 on the head is no slower (2-vCPU Xeon, numpy 2.4).
-_HEAD_STEP_COST = 7
 
 
 def _evaluate_rows(rows, z) -> np.ndarray:
     """Horner for several coefficient rows of one length at the same points z.
 
     The result has shape (len(rows),) + shape of z, row i being ``evaluate``
-    of rows[i] bit for bit: every value (one row at one point) ends on the
-    float of the full chain, acc_M = c_M and acc_m = fl(fl(acc_(m+1) * z) +
-    c_m) down to acc_0, as one row alone would.  All rows share one flat
-    accumulator of R * P values (R rows, P points), so each step is two
-    numpy calls whatever R is.  The coefficients a step adds come from a
-    table built for a block of terms at a time, which bounds its memory.
-
-    Where a long chain would add nothing to the bits of acc_0 after its
-    last few steps, only those run, on a box proven to hold acc_(m0+1)
-    (see ``_head``), and the full chain runs for the values the box does
-    not pin down.  The head runs only where its m0 + 1 box steps cost less
-    than the M steps it saves (``_HEAD_STEP_COST``).
+    of rows[i] bit for bit: every value (one row at one point) takes the
+    full chain, acc_M = c_M and acc_m = fl(fl(acc_(m+1) * z) + c_m) down to
+    acc_0, as one row alone would.  All rows share one flat accumulator of
+    R * P values (R rows, P points), so each step is two numpy calls
+    whatever R is.  The coefficients a step adds come from a table built
+    for a block of terms at a time, which bounds its memory.
     """
     zs = np.asarray(z, dtype=np.complex128)
     if not np.all(np.isfinite(zs)):
         raise ValueError("evaluation points must be finite")
     c = np.asarray(rows, dtype=np.complex128)
     R, P = len(c), zs.size
-    zf = zs.reshape(-1)
     rows_of = np.repeat(np.arange(R), P)
-    points = np.tile(zf, R)
-    plan = _head_plan(c, zf)
-    if plan is None:
-        return _chain(c, rows_of, points).reshape((R,) + zs.shape)
-    m0, U, pts = plan
-    values = (np.arange(R)[:, None] * P + pts).reshape(-1)
-    lo, hi = _head(c, rows_of[values], points[values], m0, U)
-    closed = _closed(lo, hi, c[rows_of[values], 0])
-    out = np.empty(R * P, dtype=np.complex128)
-    out[values[closed]] = lo[closed]
-    open_ = np.ones(R * P, dtype=bool)
-    open_[values[closed]] = False
-    if open_.any():
-        out[open_] = _chain(c, rows_of[open_], points[open_])
-    return out.reshape((R,) + zs.shape)
-
-
-def _step_tables(c: np.ndarray, rows_of: np.ndarray, top: int):
-    """Blocks of the step table: row m of it is c[rows_of, m], m = top - 1 down to 0."""
-    block = max(1, _ROWS_TABLE_VALUES // max(1, rows_of.size))
-    for hi in range(top, 0, -block):
-        lo = max(hi - block, 0)
-        yield c[:, lo:hi][:, ::-1].T.take(rows_of, axis=1)
-
-
-def _chain(c: np.ndarray, rows_of: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """The full chain of row rows_of[k] at points[k], for each value k."""
-    n = rows_of.size
-    if n == 1:
+    points = np.tile(zs.reshape(-1), R)
+    if R * P == 1:
         # numpy 2.4 multiplies a one-element complex array in place with
         # another loop, which rounds like Python's complex and differs from
         # the vector loop in the last bit of about two products in five
@@ -236,154 +191,19 @@ def _chain(c: np.ndarray, rows_of: np.ndarray, points: np.ndarray) -> np.ndarray
     # the ufuncs by local name, in place by position: each step is two
     # calls with nothing else to look up
     multiply, add = np.multiply, np.add
-    for table in _step_tables(c, rows_of, c.shape[1] - 1):
+    for table in _step_tables(c, rows_of):
         for step in table:
             multiply(acc, points, acc)
             add(acc, step, acc)
-    return acc[:n]
+    return acc[: R * P].reshape((R,) + zs.shape)
 
 
-def _head_plan(c: np.ndarray, zf: np.ndarray):
-    """(m0, U, head points) where the head should pay at points zf, else None.
-
-    Head points are those with kappa = |Re z| + |Im z| < 1; m0 is a guess,
-    which costs time if poor, never bits.  A box of half-width U shrinks
-    by at most kappa a step (see ``_head``), and near 0 a row's value is
-    about its c_0, so m0 makes 2 U kappa^(m0+1) e^-_HEAD_MARGIN of the
-    smallest |c_0|.  A row with c_0 = 0, whose values come as near to 0 as
-    z does, leaves every value to the plain chain.
-    """
-    M = c.shape[1] - 1
-    if _HEAD_STEP_COST > M or zf.size == 0:
-        return None
-    lead = float(np.abs(c[:, 0]).min())
-    if lead == 0.0:
-        return None
-    kappa = np.abs(zf.real) + np.abs(zf.imag)
-    pts = np.flatnonzero(kappa < 1.0)
-    if pts.size == 0:
-        return None
-    kmax = float(kappa[pts].max())
-    shrink = -math.log(kmax) if kmax > 0.0 else math.inf
-    # the head is at least _HEAD_MARGIN / shrink steps, which rules out
-    # most short chains before all their coefficients are read
-    if _HEAD_STEP_COST * (_HEAD_MARGIN / shrink + 1.0) > M:
-        return None
-    cmax = float(np.abs(c).max())
-    rho = kmax * (1.0 + 2.0**-40)
-    U = 2.0 * (cmax + 2.0**-1070) / (1.0 - rho) if rho < 1.0 else math.inf
-    if not U <= 2.0**1000:
-        return None
-    m0 = math.ceil((math.log(2.0 * U) - math.log(lead) + _HEAD_MARGIN) / shrink)
-    if _HEAD_STEP_COST * (m0 + 1) > M:
-        return None
-    return m0, U, pts
-
-
-def _head(c: np.ndarray, rows_of: np.ndarray, points: np.ndarray, m0: int, U: float):
-    """Bounds lo, hi on each value's acc_0, from the last m0 + 1 steps of its chain.
-
-    Value k is row rows_of[k] at z = points[k].  The box [Re lo, Re hi] x
-    [Im lo, Im hi] holds the full chain's acc_0, so where lo and hi are one
-    float (see ``_closed``), that float is acc_0.  The proof:
-
-    Monotone steps.  numpy 2.4 computes a complex product p = x * z as
-    Re p = fma(xr, zr, -fl(xi zi)) and Im p = fma(xr, zi, fl(xi zr)) on
-    this build (tests/test_series.py checks this premise).  Correctly
-    rounded operations are monotone, so with z fixed, Re p is
-    nondecreasing in xr where zr >= 0 and nonincreasing where zr <= 0,
-    and nonincreasing in xi where zi >= 0 and nondecreasing where zi <=
-    0; Im p is monotone in xr by the sign of zi and in xi by the sign of
-    zr.  Both parts depend on the values of the inputs alone, so a signed
-    zero of x or z changes at most the sign of a zero result.  Hence over
-    the box [rl, rh] x [il, ih], Re p is least at the corner (rl, ih) if
-    zr, zi >= 0 (xr = rl if zr >= 0 else rh, xi = ih if zi >= 0 else il)
-    and greatest at the opposite one, and Im p is least at the corner (rl
-    if zi >= 0 else rh, il if zr >= 0 else ih) and greatest at its
-    opposite.  Adding c_m is monotone in each part too.  So one step maps
-    the box into the box whose four bounds are each one part of the step
-    taken at one of those four corners.  The head takes every step on an
-    array of 4 W corners with the same numpy product and sum as the full
-    chain, and numpy's vector loop gives each element the same bits at
-    every array length of 2 or more and every offset (a premise the tests
-    check too), so each corner takes the full chain's own step.
-
-    Seed.  Let u = 2^-53.  With FMA the computed product is within 2u |x
-    z| of x z (Jeannerod, Kornerup, Louvet and Muller, Math. Comp. 2017),
-    and within sqrt(5) u |x z| without (Brent, Percival and Zimmermann,
-    Math. Comp. 2007); an underflow adds at most 2^-1072, and the sum
-    rounds each part to within u of itself.  With kappa = |zr| + |zi| >=
-    |z|, one step therefore gives |acc_m| <= rho |acc_(m+1)| + (1 + u)
-    (cmax + 2^-1072) where cmax = max |c_m| and rho = (1 + u) (1 + sqrt(5)
-    u) kappa, and |acc_M| = |c_M| <= cmax, so every |acc_m| <= (1 + u)
-    (cmax + 2^-1072) / (1 - rho).  U = 2 (cmax + 2^-1070) / (1 - rho_hat),
-    from the largest kappa of the points and rho_hat = kappa (1 + 2^-40) >=
-    rho, exceeds that bound, its factor 2 outweighing its own roundings,
-    and the box seed [-U, U]^2 holds acc_(m0+1).  The box stays inside it:
-    a bound is one part of the step at a corner x with |xr|, |xi| <= B, so
-    it is at most (1 + u) ((1 + sqrt(10) u) kappa B + cmax + 2^-1072) <=
-    rho_hat B + (1 - rho_hat) U <= U for B <= U.  As U <= 2^1000 is
-    required, nothing in either chain overflows.
-
-    Real rows.  Where the row's c_m are real for m > m0, Im acc_m = Im p
-    there, p = fl(acc_(m+1) * z), and |Re acc_(m+1)| <= U, so |Im acc_m|
-    <= (1 + u) U |zi| + (1 + u)^2 |zr| |Im acc_(m+1)| + 2^-1073 with
-    Im acc_M = 0, and every |Im acc_m| for m > m0 is below V = 2 (U |zi|
-    + 2^-1070) / (1 - |zr| (1 + 2^-40)), whose denominator is positive as
-    |zr| <= kappa.  That part of the seed is [-V, V] where V < U: near the
-    real axis it is far narrower, so a value's tiny imaginary part there
-    closes.  Where Im z = 0 in value, both products of Im p are exact
-    zeros, Im acc_m = 0 for every m > m0 and the seed is [0, 0]; without
-    it the imaginary part of a real point never closes, its value being 0.
-    """
-    W = rows_of.size
-    # bound b of value v (b = 0, 1, 2, 3 for rl, rh, il, ih) is part b // 2
-    # of the product of corner b at v: float 2 (b W + v) + b // 2 of the
-    # flat product array.  pick[k, v] names the bounds that make corner k,
-    # rl or rh for its real part and il or ih for its imaginary part, by
-    # the signs of z: corners 0 and 1 give rl and rh, 2 and 3 give il and ih
-    r = (points.real >= 0.0).astype(np.intp)
-    i = (points.imag >= 0.0).astype(np.intp)
-    pick = np.empty((4, W, 2), dtype=np.intp)
-    pick[..., 0] = (1 - r, r, 1 - i, i)
-    pick[..., 1] = (2 + i, 3 - i, 3 - r, 2 + r)
-    at = 2 * np.arange(W)[:, None] + np.arange(2)
-    gather = (at + 2 * W * pick).reshape(4, 2 * W)
-    bounds = (at + 2 * W * np.array([[[0, 2]], [[1, 3]]])).reshape(2, 2 * W)
-    # the seed: -U for rl, U for rh, and -V, V for il, ih (see Real rows)
-    zr, zi = np.abs(points.real), np.abs(points.imag)
-    V = np.minimum(U, 2.0 * (U * zi + 2.0**-1070) / (1.0 - zr * (1.0 + 2.0**-40)))
-    V[zi == 0.0] = 0.0
-    half = np.stack((np.full(W, U), V), axis=1)
-    half[c[:, m0 + 1 :].imag.any(axis=1)[rows_of], 1] = U
-    box = np.where(pick % 2, half, -half)
-    box = box.view(np.complex128).reshape(4, W)
-    z4 = np.tile(points, 4).reshape(4, W)
-    product = np.empty((4, W), dtype=np.complex128)
-    flat = product.view(np.float64).reshape(-1)
-    multiply, add = np.multiply, np.add
-    for table in _step_tables(c[:, 1:], rows_of, m0):
-        for step in table:
-            multiply(box, z4, product)
-            box = flat[gather].view(np.complex128)
-            add(box, step, box)
-    multiply(box, z4, product)
-    lo, hi = flat[bounds].view(np.complex128)
-    c0 = c[rows_of, 0]
-    return lo + c0, hi + c0
-
-
-def _closed(lo: np.ndarray, hi: np.ndarray, c0: np.ndarray) -> np.ndarray:
-    """Where the box [lo, hi] pins its value down to the bits, per value.
-
-    A part is pinned where lo and hi are the same float.  A zero part needs
-    c_0's part to be +0.0 too: the box bounds values, and round to nearest
-    gives -0.0 for a sum only as -0.0 + -0.0, so with +0.0 added the value
-    0 has the one float +0.0.
-    """
-    lo_bits, hi_bits = (a.view(np.uint64).reshape(-1, 2) for a in (lo, hi))
-    signs = (lo.view(np.float64).reshape(-1, 2) != 0.0) | (c0.view(np.uint64).reshape(-1, 2) == 0)
-    return np.all((lo_bits == hi_bits) & signs, axis=1)
+def _step_tables(c: np.ndarray, rows_of: np.ndarray):
+    """Blocks of the step table: row m of it is c[rows_of, m], m = M - 1 down to 0."""
+    block = max(1, _ROWS_TABLE_VALUES // max(1, rows_of.size))
+    for hi in range(c.shape[1] - 1, 0, -block):
+        lo = max(hi - block, 0)
+        yield c[:, lo:hi][:, ::-1].T.take(rows_of, axis=1)
 
 
 def cauchy_product(f: PowerSeries, g: PowerSeries) -> PowerSeries:
@@ -558,7 +378,8 @@ def evaluate_on_circle(f: PowerSeries | HarmonicMap, radius: float, samples: int
     a harmonic map, conj(g(radius w^j)) = sum_m conj(b_m) radius^m w^(-jm),
     so conj(b_m) radius^m joins F at frequency -m, and h + conj(g) comes
     out of the same inverse FFT.  ``evaluate`` and ``eval_harmonic`` stay
-    the way to arbitrary points.
+    the way to arbitrary points; ``dilatation_residual`` takes this route
+    for points that are a ``circle_grid``.
     """
     # np.fft is loaded on first use, which keeps it out of ``import bohrmap``
     return samples * np.fft.ifft(_circle_spectrum(f, radius, samples))

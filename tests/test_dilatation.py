@@ -13,12 +13,14 @@ from bohrmap import (
     circle_grid,
     dilatation_residual,
     evaluate,
+    evaluate_on_circle,
     g_from_mobius,
     g_from_monomial,
     make_map,
     NamedMap,
     term_differentiate,
 )
+from bohrmap import dilatation, series
 from bohrmap.catalog import MAP_TABLE
 from test_series import assert_same_bits, horner_one_row
 
@@ -241,6 +243,13 @@ def residual_two_calls(f, w, points):
     return float(np.max(np.abs(gp - np.asarray(w(pts), dtype=np.complex128) * hp)))
 
 
+def residual_on_circle(f, w, r, n):
+    # reference residual on circle_grid(r, n): h' and g' each by one inverse FFT
+    hp = evaluate_on_circle(term_differentiate(f.h), r, n)
+    gp = evaluate_on_circle(term_differentiate(f.g), r, n)
+    return float(np.max(np.abs(gp - w(circle_grid(r, n)) * hp)))
+
+
 def normalized_random_h(rng, order):
     c = rng.standard_normal(order + 1) + 1j * rng.standard_normal(order + 1)
     c[0], c[1] = 0.0, 1.0
@@ -365,25 +374,64 @@ class TestBitsAgainstFrozenLoops:
         got = g_from_mobius(h, MobiusDilatation(-0.5)).g.coeffs
         assert_same_nonzero_bits(got, mobius_numpy_scalar_loop(h, -0.5, "plus"))
 
+    @pytest.mark.parametrize("kind", ["mobius plus", "mobius minus", "monomial"])
     @pytest.mark.parametrize("points", [1, 2, 3, 64, 130])
-    def test_residual_matches_two_calls(self, points):
+    def test_residual_on_a_circle_grid_is_the_inverse_fft_one(self, points, kind):
         rng = np.random.default_rng(points)
         pts = circle_grid(0.5, points)
-        for variant in ("plus", "minus"):
-            w = MobiusDilatation(float(rng.uniform(-0.9, 0.9)), variant)
+        if kind == "monomial":
+            w = MonomialDilatation(0.5, 1.0, 2)
+            f = g_from_monomial(make_map(NamedMap("koebe_analytic", order=500)).h, w)
+        else:
+            w = MobiusDilatation(float(rng.uniform(-0.9, 0.9)), kind.split()[1])
             f = g_from_mobius(normalized_random_h(rng, 2000), w)
-            assert dilatation_residual(f, w, pts) == residual_two_calls(f, w, pts)
-        f = g_from_monomial(make_map(NamedMap("koebe_analytic", order=500)).h,
-                            MonomialDilatation(0.5, 1.0, 2))
-        w = MonomialDilatation(0.5, 1.0, 2)
-        assert dilatation_residual(f, w, pts) == residual_two_calls(f, w, pts)
+        assert dilatation_residual(f, w, pts) == residual_on_circle(f, w, 0.5, points)
 
-    def test_residual_at_a_scalar_point(self):
-        f = g_from_mobius(make_map(NamedMap("koebe_analytic", order=200)).h,
-                          MobiusDilatation(0.4))
-        w = MobiusDilatation(0.4)
-        for z in (0.3, 0.1 + 0.45j):
+    @staticmethod
+    def off_grid_points(kind):
+        grid = circle_grid(0.5, 64)
+        if kind == "rotated grid":
+            return grid * np.exp(0.1j)
+        if kind == "reshaped grid":
+            return grid.reshape(8, 8)
+        if kind == "grid but for one bit":
+            nudged = grid.copy()
+            nudged[-1] = complex(nudged[-1].real, np.nextafter(nudged[-1].imag, 0.0))
+            return nudged
+        if kind == "random":
+            rng = np.random.default_rng(6)
+            return 0.9 * np.sqrt(rng.uniform(0.0, 1.0, 40)) * np.exp(2j * np.pi * rng.uniform(size=40))
+        return {"complex scalar": 0.1 + 0.45j, "negative real scalar": -0.3}[kind]
+
+    @pytest.mark.parametrize("kind", ["rotated grid", "reshaped grid", "grid but for one bit",
+                                      "random", "complex scalar", "negative real scalar"])
+    def test_residual_off_a_circle_grid_is_the_horner_one(self, kind):
+        h = make_map(NamedMap("koebe_analytic", order=500)).h
+        z = self.off_grid_points(kind)
+        dilatations = [MobiusDilatation(0.4, "plus"), MobiusDilatation(-0.7, "minus"),
+                       MonomialDilatation(0.5, 1.0, 2)]
+        for w in dilatations:
+            f = g_from_mobius(h, w) if isinstance(w, MobiusDilatation) else g_from_monomial(h, w)
             assert dilatation_residual(f, w, z) == residual_two_calls(f, w, z)
+
+    @pytest.mark.parametrize("variant", ["plus", "minus"])
+    @pytest.mark.parametrize("a", [-0.9, -0.3, 0.3, 0.9])
+    @pytest.mark.parametrize("name", ["koebe_analytic", "half_plane_analytic"])
+    def test_verify_residual_points_take_the_inverse_fft(self, name, a, variant, monkeypatch):
+        # the benchmark's verify workload builds its 64 residual points by
+        # hand; they are circle_grid's bytes, so its order-2000 Mobius
+        # residual runs no Horner step
+        pts = 0.5 * np.exp(1j * (2 * np.pi * np.arange(64) / 64))
+        assert pts.tobytes() == circle_grid(0.5, 64).tobytes()
+
+        def refuse(*args):
+            raise AssertionError("the residual ran Horner")
+
+        monkeypatch.setattr(dilatation, "_evaluate_rows", refuse)
+        monkeypatch.setattr(series, "_evaluate_rows", refuse)
+        w = MobiusDilatation(a, variant)
+        f = g_from_mobius(make_map(NamedMap(name, order=2000)).h, w)
+        assert dilatation_residual(f, w, pts) <= 1e-13
 
 
 class TestDilatationResidual:

@@ -370,6 +370,15 @@ class TestIdentities:
         assert got > 0.0
         assert abs(got - want) <= 1e-15 * want
 
+    @pytest.mark.parametrize("M", [10**160, 10**300], ids=["1e160", "1e300"])
+    @pytest.mark.parametrize("r", [0.0, -0.0, 0.5, 1.0 - 2.0**-53])
+    def test_order_past_the_largest_square_gives_a_zero(self, r, M):
+        # N^2 overflows a double here while r^N underflows to a zero, which
+        # is the tail; the numerator used to raise a bare OverflowError
+        got = m2_tail(r, M)
+        assert type(got) is float and got == 0.0
+        assert [t.hex() for t in _m2_tails(np.array([r]), M).tolist()] == [got.hex()]
+
     @given(tail_inputs())
     @settings(max_examples=300, deadline=None)
     def test_m2_tails_equal_the_pow_route(self, case):

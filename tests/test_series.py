@@ -10,7 +10,6 @@ import pickle
 import subprocess
 import sys
 import weakref
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -203,101 +202,6 @@ def complex_from_parts(re, im):
     return out
 
 
-def exact_fma(a, b, c):
-    # a * b + c rounded once: Fraction arithmetic is exact, float() rounds to nearest
-    return float(Fraction(a) * Fraction(b) + Fraction(c))
-
-
-class TestHostPremises:
-    """The behavior of numpy's complex product that series._head's proof rests on.
-
-    A failure here names the broken premise; the bit tests below would only
-    show a mismatch.
-    """
-
-    @staticmethod
-    def signed_parts(rng, n):
-        # normal parts over many scales, a tenth of them +0.0 and a tenth -0.0
-        parts = rng.standard_normal((4, n)) * 10.0 ** rng.integers(-8, 9, (4, n))
-        draw = rng.random((4, n))
-        parts[draw < 0.1] = 0.0
-        parts[(draw >= 0.1) & (draw < 0.2)] = -0.0
-        return parts
-
-    def test_product_is_the_fma_formula(self):
-        # Re = fma(xr, zr, -fl(xi zi)) and Im = fma(xr, zi, fl(xi zr))
-        xr, xi, zr, zi = self.signed_parts(np.random.default_rng(20), 500)
-        p = complex_from_parts(xr, xi) * complex_from_parts(zr, zi)
-        for k in range(len(xr)):
-            re = exact_fma(xr[k], zr[k], -(xi[k] * zi[k]))
-            im = exact_fma(xr[k], zi[k], xi[k] * zr[k])
-            assert (p.real[k], p.imag[k]) == (re, im)
-
-    def test_each_element_has_the_same_bits_at_every_length_and_offset(self):
-        # the chain multiplies in place, the head into a buffer; a lone
-        # element multiplied in place takes another loop, which is why a
-        # lone value runs as two copies of itself
-        rng = np.random.default_rng(21)
-        x, z = random_coeffs(rng, 64), random_coeffs(rng, 64)
-        want = (x * z).tobytes()
-        for n in range(2, 65):
-            for offset in range(8):
-                xs, zs, out = (np.empty(n + offset, dtype=np.complex128)[offset:] for _ in range(3))
-                xs[:], zs[:] = x[:n], z[:n]
-                np.multiply(xs, zs, out)
-                xs *= zs
-                for got in (xs, out):
-                    assert got.tobytes() == want[: 16 * n], (n, offset)
-
-    @pytest.mark.parametrize("part", ["real", "imag"])
-    @pytest.mark.parametrize("toward", [math.inf, -math.inf])
-    def test_an_ulp_step_moves_each_part_as_the_corner_rule_says(self, part, toward):
-        # Re(x z) moves with xr as zr's sign says and against xi as zi's
-        # sign says; Im(x z) moves with xr as zi's and with xi as zr's; a
-        # zero part of z leaves that part of the product where it was
-        xr, xi, zr, zi = self.signed_parts(np.random.default_rng(22), 4000)
-        x, z = complex_from_parts(xr, xi), complex_from_parts(zr, zi)
-        stepped = x.copy()
-        if part == "real":
-            stepped.real = np.nextafter(xr, toward)
-            re_sign, im_sign = zr, zi
-        else:
-            stepped.imag = np.nextafter(xi, toward)
-            re_sign, im_sign = -zi, zr
-        moved = stepped * z - 0.0  # - 0.0 leaves values and compares alike
-        before = x * z
-        direction = 1.0 if toward > 0 else -1.0
-        for after, was, sign in ((moved.real, before.real, re_sign), (moved.imag, before.imag, im_sign)):
-            up = direction * sign
-            assert np.all((after >= was)[up >= 0.0])
-            assert np.all((after <= was)[up <= 0.0])
-
-
-def imaginary_seed(U, z):
-    # V of series._head's proof: bounds Im acc above the head of a real row at z
-    V = np.minimum(U, 2.0 * (U * np.abs(z.imag) + 2.0**-1070) / (1.0 - np.abs(z.real) * (1.0 + 2.0**-40)))
-    return np.where(z.imag == 0.0, 0.0, V)
-
-
-def chains_from(rows, rows_of, points, starts, m0):
-    # the last m0 + 1 steps of each value's chain, from each start at level m0 + 1
-    acc = starts.copy()
-    z = np.broadcast_to(points, acc.shape)
-    for m in range(m0, -1, -1):
-        acc = acc * z + rows[rows_of, m]
-    return acc
-
-
-def verify_residual_rows(name, a, variant):
-    h = make_map(NamedMap(name)).h
-    f = bohrmap.g_from_mobius(h, bohrmap.MobiusDilatation(a, variant))
-    return (term_differentiate(f.g).coeffs, term_differentiate(f.h).coeffs)
-
-
-def head_taken(rows, z):
-    return series._head_plan(np.asarray(rows), np.asarray(z, dtype=np.complex128).reshape(-1)) is not None
-
-
 def coefficient_row(kind, rng, length):
     m = np.arange(length, dtype=np.float64)
     if kind == "complex":
@@ -324,7 +228,7 @@ COEFFICIENT_KINDS = [
 ]
 
 
-def head_points(kind, rng, shape, radius):
+def chain_points(kind, rng, shape, radius):
     n = int(np.prod(shape, dtype=int))
     if kind == "real axis":
         z = complex_from_parts(radius * rng.uniform(-1.0, 1.0, n), 0.0)
@@ -333,7 +237,7 @@ def head_points(kind, rng, shape, radius):
     elif kind == "zeros":
         z = complex_from_parts(rng.choice([0.0, -0.0], n), rng.choice([0.0, -0.0], n))
     elif kind == "kappa >= 1":
-        # inside the unit disk, but |Re z| + |Im z| >= 1: the plain chain's points
+        # inside the unit disk, but |Re z| + |Im z| >= 1
         angle = rng.uniform(0.3, 1.27, n) + np.pi / 2 * rng.integers(0, 4, n)
         z = rng.uniform(0.75, 0.99, n) * np.exp(1j * angle)
     else:  # disk
@@ -348,8 +252,8 @@ POINT_KINDS = ["disk", "real axis", "imaginary axis", "zeros", "kappa >= 1"]
 
 
 @st.composite
-def head_inputs(draw):
-    """Rows of one length and points, over the cases the head's proof separates."""
+def chain_inputs(draw):
+    """Rows of one length and points, over coefficient kinds, scales and point kinds."""
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
     length = draw(st.sampled_from([1, 2, 5, 300, 800, 2001, 2501]) | st.integers(1, 2501))
@@ -360,14 +264,30 @@ def head_inputs(draw):
     rows = [row * (scale / max(np.abs(row).max(), 1e-300)) for row in rows]
     shape = draw(st.sampled_from([(), (1,), (2,), (7,), (3, 4)]))
     radius = draw(st.sampled_from([0.05, 0.3, 0.5, 0.9, 0.99]) | st.floats(0.0, 0.99))
-    z = head_points(draw(st.sampled_from(POINT_KINDS)), rng, shape, radius)
+    z = chain_points(draw(st.sampled_from(POINT_KINDS)), rng, shape, radius)
     return rows, z
 
 
-class TestHeadBits:
-    """The head's values are the full chain's, bit for bit, and it is the route it claims."""
+class TestChainBits:
+    """The chain's bits over signed zeros, extreme scales, axes and lone points."""
 
-    @given(head_inputs())
+    def test_each_element_has_the_same_bits_at_every_length_and_offset(self):
+        # the chain multiplies its accumulator in place, whatever the number
+        # of values it holds; a lone element multiplied in place takes
+        # another loop, which is why a lone value runs as two copies of itself
+        rng = np.random.default_rng(21)
+        x, z = random_coeffs(rng, 64), random_coeffs(rng, 64)
+        want = (x * z).tobytes()
+        for n in range(2, 65):
+            for offset in range(8):
+                xs, zs, out = (np.empty(n + offset, dtype=np.complex128)[offset:] for _ in range(3))
+                xs[:], zs[:] = x[:n], z[:n]
+                np.multiply(xs, zs, out)
+                xs *= zs
+                for got in (xs, out):
+                    assert got.tobytes() == want[: 16 * n], (n, offset)
+
+    @given(chain_inputs())
     @settings(max_examples=150, deadline=None)
     def test_rows_kernel_matches_the_one_row_loop(self, case):
         rows, z = case
@@ -377,139 +297,49 @@ class TestHeadBits:
 
     @pytest.mark.parametrize("kind", COEFFICIENT_KINDS)
     @pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
-    def test_each_coefficient_kind_takes_the_head_and_keeps_its_bits(self, kind, scale):
+    def test_each_coefficient_kind_keeps_its_bits(self, kind, scale):
         rng = np.random.default_rng(len(kind))
         rows = [coefficient_row(kind, rng, 2001) for _ in range(2)]
         rows = [row * (scale / np.abs(row).max()) for row in rows]
-        z = np.concatenate([head_points(k, rng, (6,), 0.5) for k in POINT_KINDS[:4]])
-        assert head_taken(rows, z)
+        z = np.concatenate([chain_points(k, rng, (6,), 0.5) for k in POINT_KINDS])
         for row, values in zip(rows, series._evaluate_rows(rows, z)):
             assert_same_bits(values, horner_one_row(row, z))
 
     @pytest.mark.parametrize("z", [0.3, 0.3 - 0.2j, -0.25j, -0.0])
-    def test_a_lone_point_takes_the_head_and_keeps_its_bits(self, z):
+    def test_a_lone_point_keeps_its_bits(self, z):
         f = PowerSeries(random_coeffs(np.random.default_rng(23), 2001))
-        assert head_taken([f.coeffs], z)
         assert_same_bits(evaluate(f, z), horner_one_row(f.coeffs, z))
-
-    @pytest.mark.parametrize("variant", ["plus", "minus"])
-    @pytest.mark.parametrize("a", [-0.9, -0.3, 0.3, 0.9])
-    @pytest.mark.parametrize("name", ["koebe_analytic", "half_plane_analytic"])
-    def test_verify_residual_closes_every_value_in_the_head(self, name, a, variant, monkeypatch):
-        # the Mobius residual of every fifth verify item: order 2000 at 64
-        # points of |z| = 0.5; the plain chain may not run at all
-        rows = verify_residual_rows(name, a, variant)
-        z = circle_grid(0.5, 64)
-        want = [horner_one_row(row, z) for row in rows]
-
-        def refuse(*args):
-            raise AssertionError("a value fell back to the full chain")
-
-        monkeypatch.setattr(series, "_chain", refuse)
-        got = series._evaluate_rows(rows, z)
-        for values, expected in zip(got, want):
-            assert_same_bits(values, expected)
-
 
     @pytest.mark.parametrize("samples", [32, 64])
     @pytest.mark.parametrize("radius", [0.3, 0.5])
-    def test_circle_points_near_the_real_axis_close_in_the_head(self, radius, samples, monkeypatch):
+    def test_circle_points_near_the_real_axis_keep_their_bits(self, radius, samples):
         # circle_grid's point at angle pi has Im z about 1e-17 r, and a real
         # row's value there an imaginary part about as small
         row = (np.arange(2001.0) + 1.0) ** 2 + 0j
         z = circle_grid(radius, samples)
-        want = horner_one_row(row, z)
-
-        def refuse(*args):
-            raise AssertionError("a value fell back to the full chain")
-
-        monkeypatch.setattr(series, "_chain", refuse)
         assert abs(z[samples // 2].imag) < 1e-16
-        assert_same_bits(evaluate(PowerSeries(row), z), want)
+        assert_same_bits(evaluate(PowerSeries(row), z), horner_one_row(row, z))
 
-
-class TestHeadProof:
-    """Each step of the proof in series._head, checked on its own."""
-
-    @pytest.mark.parametrize("z", [0.9, -0.9, 0.6 + 0.3j, -0.3 - 0.6j])
-    def test_seed_bounds_every_accumulator_of_the_chain(self, z):
-        # coefficients of modulus 1 turned to add up: |acc_m| climbs to
-        # about 1 / (1 - |z|), which U must exceed at every level
-        M = 4000
-        row = np.conj(z / abs(z)) ** np.arange(M + 1)
-        plan = series._head_plan(row[None, :], np.array([z, z]))
-        assert plan is not None
-        m0, U, _ = plan
-        acc, peak = np.full(2, row[-1]), 0.0
-        for m in range(M - 1, m0, -1):
-            acc = acc * z + row[m]
-            peak = max(peak, abs(acc[0].real), abs(acc[0].imag))
-        assert 0.5 / (1.0 - abs(z)) < peak <= U
-
-    @pytest.mark.parametrize("z", [0.9 + 1e-3j, -0.9 + 1e-12j, 0.5 - 0.3j, -0.3 - 0.55j])
-    def test_imaginary_seed_bounds_a_real_row(self, z):
-        # coefficients +-1 turned to add up along the real axis: |Im acc_m|
-        # climbs to about |Im z| / (1 - |Re z|)^2 near it, which V must
-        # exceed at every level
-        M = 4000
-        row = np.sign(z.real) ** np.arange(M + 1) + 0j
-        m0, U, _ = series._head_plan(row[None, :], np.array([z, z]))
-        V = float(imaginary_seed(U, np.array([z]))[0])
-        acc, peak = np.full(2, row[-1]), 0.0
-        for m in range(M - 1, m0, -1):
-            acc = acc * z + row[m]
-            peak = max(peak, abs(acc[0].imag))
-        assert V / 100 < peak <= V
-
-    @pytest.mark.parametrize("m0", [0, 1, 2, 5])
-    def test_box_holds_every_chain_started_inside_it(self, m0):
-        # the chains from the seed's corners and from points inside it,
-        # at points in all four quadrants and on both axes, end in the box
-        rng = np.random.default_rng(24 + m0)
-        U = 3.0
-        rows = np.stack([random_coeffs(rng, 12), complex_from_parts(rng.standard_normal(12), 0.0)])
-        z = np.array([0.6 + 0.3j, -0.5 + 0.4j, -0.3 - 0.6j, 0.45 - 0.5j, 0.7, -0.7, 0.5j, -0.5j, 0.0])
-        rows_of = np.repeat(np.arange(2), len(z))
-        points = np.tile(z, 2)
-        lo, hi = series._head(rows, rows_of, points, m0, U)
-        parts = [np.array([-U, U]), rng.uniform(-U, U, 30)]
-        re = np.concatenate(parts)
-        im = np.concatenate(parts)
-        starts = complex_from_parts(*np.meshgrid(re, im))[..., None].repeat(len(points), -1)
-        starts = starts.reshape(-1, len(points))
-        # a real row keeps |Im acc| <= V above the head, and 0 at a real point
-        real = rows_of == 1
-        starts.imag[:, real] *= imaginary_seed(U, points[real]) / U
-        ends = chains_from(rows, rows_of, points, starts, m0)
-        for part in ("real", "imag"):
-            low, high, end = (getattr(a, part) for a in (lo, hi, ends))
-            assert np.all(low <= end) and np.all(end <= high), part
-
-    @pytest.mark.parametrize("at", ["top", "just above the head"])
-    def test_real_point_with_one_complex_coefficient_above_the_head(self, at):
-        # one nonzero imaginary part above m0 makes Im f(z) nonzero at a
-        # real z, so that part may not be seeded with [0, 0]
+    @pytest.mark.parametrize("at", ["top", "bottom"])
+    def test_real_point_with_one_complex_coefficient(self, at):
+        # one nonzero imaginary part in a real row makes Im f(z) nonzero at
+        # a real z, wherever in the chain it is added
         rng = np.random.default_rng(25)
         row = complex_from_parts(rng.uniform(-1.0, 1.0, 1201), 0.0)
-        row[1] = 4.0  # the largest modulus, so U and m0 stay as they are
+        row[1200 if at == "top" else 1] += 0.5j
         z = np.array([0.6, -0.6, 0.7, 0.3 + 0.35j, -0.1j])
-        m0 = series._head_plan(row[None, :], z)[0]
-        row[1200 if at == "top" else m0 + 1] += 0.5j
-        assert series._head_plan(row[None, :], z)[0] == m0
         got = evaluate(PowerSeries(row), z)
         assert_same_bits(got, horner_one_row(row, z))
         assert np.all(got[:3].imag != 0.0)
 
-    def test_a_zero_part_is_closed_only_over_a_plus_zero_c0(self):
-        # at z = 0 the head is one step, whose box holds both signs of a
-        # zero part; where c_0's part is -0.0 the value's sign is the
-        # chain's own, so the box cannot close it.  Here Im acc stays -0.0
-        # all down the chain (negative real parts times +0.0, plus -0.0),
-        # while the real point's seed and so both corners give +0.0
+    def test_a_zero_part_keeps_its_sign(self):
+        # at z = 0 the value is c_0 after the chain's products with zero;
+        # where c_0's part is -0.0 the value's sign is the chain's own.  Here
+        # Im acc stays -0.0 all down the chain (negative real parts times
+        # +0.0, plus -0.0)
         row = complex_from_parts(-1.0 - np.arange(41.0), -0.0)
         row[0] = complex(1.0, -0.0)
         z = np.array([0j])
-        assert head_taken([row], z)
         assert_same_bits(series._evaluate_rows([row], z)[0], horner_one_row(row, z))
         assert math.copysign(1.0, horner_one_row(row, z)[0].imag) == -1.0
         rng = np.random.default_rng(26)
@@ -518,7 +348,6 @@ class TestHeadProof:
             rows = complex_from_parts(rng.integers(-2, 3, (3, 41)).astype(float),
                                       rng.choice([0.0, -0.0], (3, 41)))
             rows[:, 0] = complex_from_parts(rng.choice([-1.0, 1.0, 2.0], 3), -0.0)
-            assert head_taken(rows, z)
             for row, values in zip(rows, series._evaluate_rows(rows, z)):
                 assert_same_bits(values, horner_one_row(row, z))
 
