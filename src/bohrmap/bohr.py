@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .catalog import MAP, NamedMap, closed_form_eval, make_map
-from .radii import VARIANT, RadiusProblem, _m2_tails, m2_tail
+from .radii import VARIANT, RadiusProblem, _m2_tails
 from .series import DEFAULT_ORDER, HarmonicMap, _check_count, _check_param, _circle_spectrum
 from .series import circle_grid
 from .solver import solve_radius
@@ -100,20 +100,20 @@ def bohr_partial_sum(
     M: int | None = None,
     tail_constant: float = DEFAULT_TAIL_CONSTANT,
 ) -> tuple[float, float]:
-    """(sum_{m=1..M} (|a_m|+|b_m|) r^m, tail bound) at radius r.
+    """(sum_{m=1..M} (|a_m|+|b_m|) r^m, tail bound) at radius r, as Python floats.
 
     M defaults to the truncation order and may not exceed it.  The tail is
     tail_constant * sum_{m>M} m^2 r^m in closed form; pass the catalog's
-    constant for named maps, 0 for exact polynomials.
+    constant for named maps, 0 for exact polynomials, whose tail is then
+    +0.0.  This is ``verify_inequality``'s step on the one radius r.
     """
     _check_param("r", r)
-    moduli = _checked_moduli(f, M, tail_constant)
-    (total,) = _sums(moduli, [r])
-    return total, tail_constant * m2_tail(r, len(moduli))
+    sums, tails = _sums_and_tails(f, np.array([float(r)]), M, tail_constant)
+    return sums[0], tails.tolist()[0]
 
 
-def _checked_moduli(f: HarmonicMap, M: int | None, tail_constant: float) -> np.ndarray:
-    """|a_m| + |b_m| for m = 1..M, after checking M and the tail constant."""
+def _sums_and_tails(f: HarmonicMap, rs: np.ndarray, M: int | None, tail_constant: float):
+    """Bohr sums of f's first M terms (default: all) at the checked radii rs, and tail bounds."""
     if M is None:
         M = f.order
     _check_count("M", M, 0)
@@ -122,7 +122,10 @@ def _checked_moduli(f: HarmonicMap, M: int | None, tail_constant: float) -> np.n
     _check_param("tail_constant", tail_constant)
     # |a_m| + |b_m| may overflow to inf; _horner then refuses the sum
     with np.errstate(over="ignore"):
-        return f.coefficient_moduli()[1 : M + 1]
+        moduli = f.coefficient_moduli()[1 : M + 1]
+    # C * m2_tail is 0 exactly, as m2_tail is finite and >= 0 on [0, 1), so a zero C takes +0.0
+    tails = tail_constant * _m2_tails(rs, M) if tail_constant else np.zeros(len(rs))
+    return _sums(moduli, rs), tails
 
 
 def _sums(moduli: np.ndarray, rs) -> list[float]:
@@ -314,20 +317,14 @@ def verify_inequality(
     if not 0.0 < top < 1.0:
         raise ValueError("radius - margin must lie in (0, 1)")
     grid = np.linspace(0.0, top, grid_size)
-    moduli = _checked_moduli(f, None, tail_constant)
-    if tail_constant == 0.0:
-        # C * m2_tail is 0 exactly, since m2_tail is finite and >= 0 on [0, 1)
-        tails = np.zeros(grid_size)
-    else:
-        # the grid lies in [0, 1) and M is checked, so m2_tail's checks are skipped
-        tails = tail_constant * _m2_tails(grid, len(moduli))
+    sums, tails = _sums_and_tails(f, grid, None, tail_constant)
     return BohrProfile(
         map_id=map_id,
         r_grid=grid,
-        partial_sums=_sums(moduli, grid),
+        partial_sums=sums,
         tail_bounds=tails,
         bound=bound,
-        M=len(moduli),
+        M=f.order,
     )
 
 

@@ -257,61 +257,51 @@ def majorant_value(p: RadiusProblem, r):
 
 
 def m2_tail(r: float, M: int) -> float:
-    """Closed form of sum_{m > M} m^2 r^m, for 0 <= r < 1.
+    """Closed form of sum_{m > M} m^2 r^m, for 0 <= r < 1, as a Python float.
 
     With N = M + 1 the tail is
     r^N [N^2 (1-r)^2 + 2N r (1-r) + r (1+r)] / (1-r)^3 =
     r^N [(N (1-r) + r)^2 + r] / (1-r)^3, evaluated directly so no
     full-minus-partial cancellation occurs, and with a numerator of
-    nonnegative terms, which cannot cancel either.
+    nonnegative terms, which cannot cancel either.  This is ``_m2_tails``
+    on the one radius r.
     """
     _check_param("r", r)
     _check_count("M", M, 0)
-    r, N = float(r), M + 1
-    # the underflow cut of _m2_tails on one radius; r = +0.0 takes pow, which gives +0.0 too
-    return 0.0 if 0.0 < r < _underflow_cut(N) else _m2_tail_pow(r, N)
-
-
-def _underflow_cut(N: int) -> float:
-    """B = 2^(-1100/N) (1 - 2^-40): below it r^N underflows to +0.0 (see ``_m2_tails``)."""
-    return 2.0 ** (-1100.0 / N) * (1.0 - 2.0**-40)
-
-
-def _m2_tail_pow(r: float, N: int) -> float:
-    """m2_tail's closed form for a Python float r, by libm's pow.
-
-    A zero r^N is the tail, sign included: the factor it multiplies is a
-    positive float wherever it is finite, and past N^2 (1-r)^2 ~ 2^1024,
-    where r^N has long underflowed, forming it would overflow.
-    """
-    p = r**N
-    if p == 0.0:
-        return p
-    s = 1.0 - r
-    return float(p * ((N * s + r) ** 2 + r) / s**3)
+    (tail,) = _m2_tails(np.array([float(r)]), M).tolist()
+    return tail
 
 
 def _m2_tails(rs: np.ndarray, M: int) -> np.ndarray:
     """m2_tail(r, M) for each radius of a float64 array, with rs and M already checked.
 
-    Each value is that of ``_m2_tail_pow`` (libm's pow on a Python float),
-    bit for bit, and most of them never call it.  Every radius r in
-    [+0.0, B) gets +0.0 from one array comparison, B = ``_underflow_cut(N)``
-    = fl(fl(2^fl(-1100/N)) (1 - 2^-40)), N = M + 1.  For N >= 2 the
-    exponent is within a relative 2^-53 of -1100/N, which is at most 550
-    in size, so 2^fl(-1100/N) < 2^(-1100/N) (1 + 2^-44); pow and the
-    product are within an ulp each, and the slack 2^-40 outweighs the
-    three factors, so B < 2^(-1100/N).  (N = 1 gives B = +0.0, or the
-    smallest subnormal, and no radius but a zero below it.)  So r < B gives
-    N log2(r) < -1100 and r^N < 2^-1100, far below half the smallest
-    subnormal (2^-1075), where pow returns +0.0 (slowly: 0.3 us a radius).
-    The numerator (N (1-r) + r)^2 + r, a square plus r, is a positive float
-    for 0 <= r < 1, and +0.0 times it over (1-r)^3 is +0.0.  r = +0.0
-    itself gives 0^N = +0.0 by pow, so it joins the cut; r = -0.0, whose
-    odd powers keep the sign, and every r >= B take pow.
+    Each value is the closed form by libm's pow on a Python float, bit for
+    bit, and most radii never call pow.  Every r in [+0.0, B) gets +0.0 from
+    one array comparison, B = fl(fl(2^e) (1 - 2^-40)), N = M + 1, e =
+    fl(-1100/N) by Python's correctly rounded int division, which converts
+    no N to a float.  -1100/N is exact for N = 1 and at most 550 in size
+    past it, so 2^e < 2^(-1100/N) (1 + 2^-44); pow and the product are
+    within an ulp each, the slack 2^-40 outweighs the three factors, and B <
+    2^(-1100/N).  So r < B gives r^N < 2^-1100, far below half the smallest
+    subnormal, where pow returns +0.0 (slowly: 0.3 us a radius).  r = +0.0
+    joins the cut, as 0^N = +0.0; -0.0, whose odd powers keep the sign, and
+    every r >= B take pow.
+
+    A zero r^N is the tail, sign included: the numerator (N (1-r) + r)^2 + r
+    is a positive float wherever it is finite, and past N^2 (1-r)^2 ~ 2^1024
+    forming it would overflow.  pow's exponent is capped at 2^64, where r^N
+    is +0.0 for every r in [-0.0, 1) ((1 - 2^-53)^(2^64) = e^-2048) and
+    every larger N is even as a float, so the cap keeps pow's bits.
     """
-    N = M + 1
+    N = int(M) + 1
+    cut = 2.0 ** (-1100 / N) * (1.0 - 2.0**-40)
+    exponent = min(N, 2**64)
     tails = np.zeros(len(rs))
-    slow = np.flatnonzero((rs >= _underflow_cut(N)) | np.signbit(rs))
-    tails[slow] = [_m2_tail_pow(r, N) for r in rs[slow].tolist()]
+    slow = np.flatnonzero((rs >= cut) | np.signbit(rs))
+    for i, r in zip(slow.tolist(), rs[slow].tolist()):
+        p = r**exponent
+        if p != 0.0:
+            s = 1.0 - r
+            p = p * ((N * s + r) ** 2 + r) / s**3
+        tails[i] = p
     return tails

@@ -116,6 +116,17 @@ class TestPartialSum:
         assert s == pytest.approx(0.5, rel=1e-15)
         assert t == 0.0
 
+    @pytest.mark.parametrize("C", [0.0, -0.0])
+    @pytest.mark.parametrize("M", [0, 1, 50])
+    def test_zero_constant_gives_a_plus_zero_tail(self, M, C):
+        # a zero constant of either sign skips the tail and gives +0.0 at
+        # every radius, r = -0.0 included, as verify_inequality's grids do;
+        # sharpness_scan and the demos discard this tail, and no subcommand
+        # prints it
+        f = make_map(NamedMap("harmonic_koebe_K", order=300))
+        for r in (-0.0, 0.0, 0.3):
+            assert bohr_partial_sum(f, r, M, C)[1].hex() == "0x0.0p+0"
+
 
 class TestBohrProfile:
     def test_verdicts_computed_when_omitted(self):

@@ -1,5 +1,6 @@
 """Radius problems: closed forms, majorants, summation identities."""
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -10,13 +11,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bohrmap import (
+    MAP_TABLE,
     VARIANT_TABLE,
+    NamedMap,
     RadiusProblem,
+    bohr_partial_sum,
     closed_form_radius,
     m2_tail,
     majorant_value,
+    make_map,
     resolve_variant,
 )
+from bohrmap.catalog import MAP
 from bohrmap.radii import _m2_tails
 from test_solver import THM27_ROOT
 
@@ -34,6 +40,15 @@ def m2_tails_by_pow(rs, M):
     # N^2 (1-r)^2 + 2N r (1-r) + r (1+r) written as a square plus r
     N = M + 1
     return [float(r**N * ((N * (1.0 - r) + r) ** 2 + r) / (1.0 - r) ** 3) for r in rs]
+
+
+ONE_ROUTE_ORDER = 300
+
+
+@functools.cache
+def catalog_map(name):
+    # order ONE_ROUTE_ORDER, a parametric map at k = 0.5
+    return make_map(NamedMap(name, k=0.5 if MAP[name].parametric else None, order=ONE_ROUTE_ORDER))
 
 
 def m2_tail_mpmath(r, M):
@@ -370,11 +385,15 @@ class TestIdentities:
         assert got > 0.0
         assert abs(got - want) <= 1e-15 * want
 
-    @pytest.mark.parametrize("M", [10**160, 10**300], ids=["1e160", "1e300"])
+    @pytest.mark.parametrize(
+        "M", [10**160, 10**300, 2**1023, 2**1024, 10**400],
+        ids=["1e160", "1e300", "2^1023", "2^1024", "1e400"],
+    )
     @pytest.mark.parametrize("r", [0.0, -0.0, 0.5, 1.0 - 2.0**-53])
     def test_order_past_the_largest_square_gives_a_zero(self, r, M):
         # N^2 overflows a double here while r^N underflows to a zero, which
-        # is the tail; the numerator used to raise a bare OverflowError
+        # is the tail; from 2^1024 on N itself is past the largest double,
+        # so neither the cut nor pow may convert it to a float
         got = m2_tail(r, M)
         assert type(got) is float and got == 0.0
         assert [t.hex() for t in _m2_tails(np.array([r]), M).tolist()] == [got.hex()]
@@ -383,11 +402,38 @@ class TestIdentities:
     @settings(max_examples=300, deadline=None)
     def test_m2_tails_equal_the_pow_route(self, case):
         # bit for bit, signed zeros included, underflow cut or not: the whole
-        # grid at once, and each radius alone through m2_tail's scalar cut
+        # grid at once, and each radius alone through m2_tail
         rs, M = case
         want = [t.hex() for t in m2_tails_by_pow(rs, M)]
         assert [t.hex() for t in _m2_tails(np.array(rs), M).tolist()] == want
         assert [m2_tail(r, M).hex() for r in rs] == want
+
+    @pytest.mark.parametrize(
+        "N", [2**53 - 1, 2**53 + 1, 2**64 - 1, 2**64 + 1],
+        ids=["2^53-1", "2^53+1", "2^64-1", "2^64+1"],
+    )
+    def test_orders_past_the_exact_doubles_keep_the_pow_bits(self, N):
+        # past 2^53 the cut's -1100 / N, an int division, is not
+        # -1100.0 / float(N), and past 2^64 pow's exponent is capped; neither
+        # moves a bit of the pow route, which converts N to a float
+        rs = [0.0, -0.0, 0.5, 1.0 - 2.0**-53] + np.linspace(0.0, 1.0, 256, endpoint=False).tolist()
+        want = [t.hex() for t in m2_tails_by_pow(rs, N - 1)]
+        assert [t.hex() for t in _m2_tails(np.array(rs), N - 1).tolist()] == want
+        assert [m2_tail(r, N - 1).hex() for r in rs] == want
+
+    @given(
+        st.sampled_from(MAP_TABLE),
+        st.floats(0.0, 1.0, exclude_max=True),
+        st.integers(0, ONE_ROUTE_ORDER),
+        st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_bohr_partial_sum_tail_is_the_constant_times_the_pow_route(self, record, r, M, C):
+        # bohr_partial_sum's tail comes from _m2_tails, the one tail route;
+        # a zero constant skips it and gives +0.0, as 0.0 times a tail does
+        f = catalog_map(record.name)
+        (want,) = m2_tails_by_pow([r], M)
+        assert bohr_partial_sum(f, r, M, C)[1].hex() == (C * want).hex()
 
     def test_m2_tail_is_a_python_float(self):
         # inside the underflow cut (0.3 at order 2000), past it (0.9), at
