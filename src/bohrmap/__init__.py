@@ -4,16 +4,22 @@ Truncation-exact power series, dilatation-coupled coefficient
 construction, certified root solving for the radius equations, and
 grid verification of the Bohr inequalities the radii govern.
 
-``import bohrmap`` loads numpy alone.  Each public name below is imported
-from its submodule on first access (PEP 562) and then kept in the package
-namespace, so a command loads only the layers it runs.
+``import bohrmap`` loads numpy alone, except under ``python -m bohrmap``,
+where it loads nothing.  Each public name below is imported from its
+submodule on first access (PEP 562) and then kept in the package namespace,
+so a command loads only the layers it runs: ``radius`` and ``table`` load
+``cli``, ``radii``, ``rules`` and ``solver`` and no numpy.
 """
 
 import importlib
+import sys
 
-# Every layer needs numpy, so loading it here costs nothing extra; it also
-# keeps numpy's import inside ``import bohrmap`` for ``-X importtime``.
-import numpy  # noqa: F401
+# Every layer but rules, radii, solver and cli needs numpy, and loading it
+# here keeps numpy's import inside ``import bohrmap`` for ``-X importtime``.
+# While ``python -m bohrmap`` finds its package, sys.argv is ["-m", ...]: the
+# command then loads numpy only if it runs a layer that needs it.
+if sys.argv[:1] != ["-m"]:
+    import numpy  # noqa: F401
 
 __version__ = "0.1.0"
 
@@ -22,7 +28,7 @@ _EXPORTS = {
     "bohr": (
         "DEFAULT_GRID_SIZE", "DEFAULT_MARGIN", "BohrProfile", "bohr_partial_sum",
         "boundary_reach", "check_pairing", "default_bound_inputs", "extremal_pairing",
-        "profile_for_named_map", "sharpness_scan", "verify_inequality",
+        "m2_tail", "profile_for_named_map", "sharpness_scan", "verify_inequality",
     ),
     "catalog": (
         "ALIASES", "MAP_NAMES", "MAP_TABLE", "MapSpec", "NamedMap", "closed_form_eval",
@@ -34,7 +40,7 @@ _EXPORTS = {
     ),
     "radii": (
         "THEOREM_ALIASES", "VARIANT_TABLE", "VARIANTS", "RadiusProblem", "Variant",
-        "closed_form_radius", "m2_tail", "majorant_value", "resolve_variant",
+        "closed_form_radius", "majorant_value", "resolve_variant",
     ),
     "selfcheck": ("CheckResult", "run_selfcheck"),
     "series": (

@@ -17,9 +17,9 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .catalog import MAP, NamedMap, closed_form_eval, make_map
-from .radii import VARIANT, RadiusProblem, _m2_tails
-from .series import DEFAULT_ORDER, HarmonicMap, _check_count, _check_param, _circle_spectrum
-from .series import circle_grid
+from .radii import VARIANT, RadiusProblem
+from .rules import DEFAULT_ORDER, _check_count, _check_param
+from .series import HarmonicMap, _circle_spectrum, circle_grid
 from .solver import solve_radius
 
 DEFAULT_MARGIN = 1e-3
@@ -126,6 +126,57 @@ def _sums_and_tails(f: HarmonicMap, rs: np.ndarray, M: int | None, tail_constant
     # C * m2_tail is 0 exactly, as m2_tail is finite and >= 0 on [0, 1), so a zero C takes +0.0
     tails = tail_constant * _m2_tails(rs, M) if tail_constant else np.zeros(len(rs))
     return _sums(moduli, rs), tails
+
+
+def m2_tail(r: float, M: int) -> float:
+    """Closed form of sum_{m > M} m^2 r^m, for 0 <= r < 1, as a Python float.
+
+    With N = M + 1 the tail is
+    r^N [N^2 (1-r)^2 + 2N r (1-r) + r (1+r)] / (1-r)^3 =
+    r^N [(N (1-r) + r)^2 + r] / (1-r)^3, evaluated directly so no
+    full-minus-partial cancellation occurs, and with a numerator of
+    nonnegative terms, which cannot cancel either.  This is ``_m2_tails``
+    on the one radius r.
+    """
+    _check_param("r", r)
+    _check_count("M", M, 0)
+    (tail,) = _m2_tails(np.array([float(r)]), M).tolist()
+    return tail
+
+
+def _m2_tails(rs: np.ndarray, M: int) -> np.ndarray:
+    """m2_tail(r, M) for each radius of a float64 array, with rs and M already checked.
+
+    Each value is the closed form by libm's pow on a Python float, bit for
+    bit, and most radii never call pow.  Every r in [+0.0, B) gets +0.0 from
+    one array comparison, B = fl(fl(2^e) (1 - 2^-40)), N = M + 1, e =
+    fl(-1100/N) by Python's correctly rounded int division, which converts
+    no N to a float.  -1100/N is exact for N = 1 and at most 550 in size
+    past it, so 2^e < 2^(-1100/N) (1 + 2^-44); pow and the product are
+    within an ulp each, the slack 2^-40 outweighs the three factors, and B <
+    2^(-1100/N).  So r < B gives r^N < 2^-1100, far below half the smallest
+    subnormal, where pow returns +0.0 (slowly: 0.3 us a radius).  r = +0.0
+    joins the cut, as 0^N = +0.0; -0.0, whose odd powers keep the sign, and
+    every r >= B take pow.
+
+    A zero r^N is the tail, sign included: the numerator (N (1-r) + r)^2 + r
+    is a positive float wherever it is finite, and past N^2 (1-r)^2 ~ 2^1024
+    forming it would overflow.  pow's exponent is capped at 2^64, where r^N
+    is +0.0 for every r in [-0.0, 1) ((1 - 2^-53)^(2^64) = e^-2048) and
+    every larger N is even as a float, so the cap keeps pow's bits.
+    """
+    N = int(M) + 1
+    cut = 2.0 ** (-1100 / N) * (1.0 - 2.0**-40)
+    exponent = min(N, 2**64)
+    tails = np.zeros(len(rs))
+    slow = np.flatnonzero((rs >= cut) | np.signbit(rs))
+    for i, r in zip(slow.tolist(), rs[slow].tolist()):
+        p = r**exponent
+        if p != 0.0:
+            s = 1.0 - r
+            p = p * ((N * s + r) ** 2 + r) / s**3
+        tails[i] = p
+    return tails
 
 
 def _sums(moduli: np.ndarray, rs) -> list[float]:

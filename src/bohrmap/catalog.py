@@ -29,7 +29,8 @@ from typing import Callable
 
 import numpy as np
 
-from .series import DEFAULT_ORDER, HarmonicMap, PowerSeries, _check_count, _check_param
+from .rules import DEFAULT_ORDER, _check_count, _check_param
+from .series import HarmonicMap, PowerSeries
 
 
 def _koebe(z):

@@ -14,12 +14,11 @@ import json
 import os
 import sys
 
-import numpy as np
-
-# Only what radius and table run is imported here; each other command
-# imports its layers itself, so a cold start loads no more than it needs.
+# Only what radius and table run is imported here, and none of it loads
+# numpy; each other command imports numpy and its layers itself, so a cold
+# start loads no more than it needs.
 from .radii import RadiusProblem
-from .series import DEFAULT_COMPOSE_ORDER, DEFAULT_ORDER, _check_count, _check_param, circle_grid
+from .rules import DEFAULT_COMPOSE_ORDER, DEFAULT_ORDER, _check_count, _check_param
 from .solver import WIDTH_TOL, solve_radius
 
 
@@ -156,6 +155,8 @@ def cmd_table(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    import numpy as np
+
     from .bohr import DEFAULT_GRID_SIZE, DEFAULT_MARGIN, profile_for_named_map
 
     if args.margin is None:
@@ -205,7 +206,10 @@ def cmd_sharpness(args) -> int:
 
 
 def cmd_image_curve(args) -> int:
+    import numpy as np
+
     from .catalog import NamedMap, closed_form_eval
+    from .series import circle_grid
 
     _check_param("reach r", args.r)
     _check_count("--samples", args.samples, 1)

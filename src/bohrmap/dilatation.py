@@ -13,10 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .rules import _check_param
 from .series import (
     HarmonicMap,
     PowerSeries,
-    _check_param,
     _evaluate_rows,
     circle_grid,
     evaluate_on_circle,

@@ -11,11 +11,13 @@ here; certified root extraction lives in ``solver``.
 ``VARIANT_TABLE`` holds one ``Variant`` record per statement: its short
 alias, parameters, bound kind, description and radius.  Adding a theorem
 means adding one record; ``VARIANTS`` and ``THEOREM_ALIASES`` are derived
-from it.  The domains of K, k and n are rows of ``series._PARAM_RULES``.
+from it.  The domains of K, k and n are rows of ``rules._PARAM_RULES``.
 
 "Bound d" marks the families whose Bohr sum is compared against the distance
 from h(0) to the boundary of h's image, h the analytic part; the caller
 supplies it (catalog presets: 1/4 for the full-growth maps, 1/2 for half-plane maps).
+
+Every majorant runs on Python floats, so solving a radius loads no numpy.
 """
 
 from __future__ import annotations
@@ -24,9 +26,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
-from .series import _check_count, _check_param
+from .rules import _check_param
 
 
 def _thm12_quasi(K: float) -> float:
@@ -49,22 +49,27 @@ def _convex_quasi(c: float, K: float) -> float:
     return (1.0 + t) / (c + t)
 
 
-def _monomial_majorant(k: float, n: int, rs):
-    one = 1.0 - rs
+# The majorants run on Python floats, which keeps numpy out of ``radius``
+# and makes each value the same on every host with the same libm.  A power
+# of 1 - r is libm's pow, as numpy computes it on a float64 scalar, and r^2
+# of thm27 and thm29 is r * r, as numpy squares a 0-d array, so the roots
+# keep the bits they had when the majorants ran in numpy.
+def _monomial_majorant(k: float, n: int, r: float) -> float:
+    one = 1.0 - r
     # log(1-r) through log1p(-r) keeps accuracy near r = 0.
     return (
-        (k + 1.0) * rs / one**2
-        - 2.0 * n * k * rs / one
-        - k * n**2 * np.log1p(-rs)
+        (k + 1.0) * r / one**2
+        - 2.0 * n * k * r / one
+        - k * n**2 * math.log1p(-r)
         - 1.0
     )
 
 
-def _thm210_majorant(rs):
+def _thm210_majorant(r: float) -> float:
     # Monotone series form; the equivalent cubic 4r^3 - 9r^2 + 12r - 3
     # has the opposite sign below the root.
-    one = 1.0 - rs
-    return 2.0 * rs * (1.0 + rs) / (3.0 * one**3) + rs / (3.0 * one) - 1.0
+    one = 1.0 - r
+    return 2.0 * r * (1.0 + r) / (3.0 * one**3) + r / (3.0 * one) - 1.0
 
 
 @dataclass(frozen=True)
@@ -87,7 +92,7 @@ class Variant:
     bound: str
     description: str
     closed_form: Callable[[RadiusProblem], float] | None = None
-    majorant: Callable[[RadiusProblem, np.ndarray], np.ndarray] | None = None
+    majorant: Callable[[RadiusProblem, float], float] | None = None
     min_rule_base: bool = False
 
 
@@ -137,12 +142,12 @@ VARIANT_TABLE = (
     Variant("thm27_mobius", "thm27", (), "1+|a|",
             "harmonic map with disk-automorphism dilatation; bound 1+|a|; "
             "root of r^3 - 3r^2 + 5r - 1",
-            majorant=lambda p, r: r**3 - 3.0 * r**2 + 5.0 * r - 1.0),
+            majorant=lambda p, r: r**3 - 3.0 * (r * r) + 5.0 * r - 1.0),
     Variant("thm29_convex_direction", "thm29", (), "1",
             "univalent harmonic map convex in one direction; bound 1; radius (5-sqrt(17))/4",
             closed_form=lambda p: (5.0 - math.sqrt(17.0)) / 4.0,
             # -(2r^2 - 5r + 1): negated so the sign convention holds.
-            majorant=lambda p, r: -(2.0 * r**2 - 5.0 * r + 1.0)),
+            majorant=lambda p, r: -(2.0 * (r * r) - 5.0 * r + 1.0)),
     Variant("thm210_convex_direction_s0", "thm210", (), "1",
             "harmonic map convex in one direction with b_1 = 0; bound 1; root-defined radius",
             majorant=lambda p, r: _thm210_majorant(r)),
@@ -236,72 +241,29 @@ def majorant_value(p: RadiusProblem, r):
 
     Normalized so the value is negative below the radius and positive
     above; every root-defined majorant is strictly increasing on (0, 1),
-    which is what makes the bisection certificate meaningful.  Accepts
-    scalar or array r.  Closed-form variants have no majorant here and
-    raise, directing the caller to ``closed_form_radius``.
+    which is what makes the bisection certificate meaningful.  A float r
+    gives a Python float without loading numpy; any other r goes through
+    numpy, a 0-d one to a Python float and an array to an array of the
+    float values, each the scalar call's bits.  Closed-form variants have no
+    majorant here and raise, directing the caller to ``closed_form_radius``.
     """
     if not p.root_defined:
         raise ValueError(
             f"{p.variant} has a closed-form radius; use closed_form_radius"
         )
+    majorant = p.record.majorant
+    if isinstance(r, float):
+        _check_param("r", r)
+        return majorant(p, float(r))
+    import numpy as np
+
     # cast to float, a bool (scalar or array) reads as 0 or 1, so False
     # would pass as r = 0; a bool is no radius
     is_bool = np.asarray(r).dtype == np.bool_
     rs = np.asarray(r, dtype=np.float64)
     if is_bool or not np.all((rs >= 0.0) & (rs < 1.0)):
         raise ValueError("r must lie in [0, 1)")
-    val = p.record.majorant(p, rs)
     if rs.ndim == 0:
-        return float(val)
-    return val
-
-
-def m2_tail(r: float, M: int) -> float:
-    """Closed form of sum_{m > M} m^2 r^m, for 0 <= r < 1, as a Python float.
-
-    With N = M + 1 the tail is
-    r^N [N^2 (1-r)^2 + 2N r (1-r) + r (1+r)] / (1-r)^3 =
-    r^N [(N (1-r) + r)^2 + r] / (1-r)^3, evaluated directly so no
-    full-minus-partial cancellation occurs, and with a numerator of
-    nonnegative terms, which cannot cancel either.  This is ``_m2_tails``
-    on the one radius r.
-    """
-    _check_param("r", r)
-    _check_count("M", M, 0)
-    (tail,) = _m2_tails(np.array([float(r)]), M).tolist()
-    return tail
-
-
-def _m2_tails(rs: np.ndarray, M: int) -> np.ndarray:
-    """m2_tail(r, M) for each radius of a float64 array, with rs and M already checked.
-
-    Each value is the closed form by libm's pow on a Python float, bit for
-    bit, and most radii never call pow.  Every r in [+0.0, B) gets +0.0 from
-    one array comparison, B = fl(fl(2^e) (1 - 2^-40)), N = M + 1, e =
-    fl(-1100/N) by Python's correctly rounded int division, which converts
-    no N to a float.  -1100/N is exact for N = 1 and at most 550 in size
-    past it, so 2^e < 2^(-1100/N) (1 + 2^-44); pow and the product are
-    within an ulp each, the slack 2^-40 outweighs the three factors, and B <
-    2^(-1100/N).  So r < B gives r^N < 2^-1100, far below half the smallest
-    subnormal, where pow returns +0.0 (slowly: 0.3 us a radius).  r = +0.0
-    joins the cut, as 0^N = +0.0; -0.0, whose odd powers keep the sign, and
-    every r >= B take pow.
-
-    A zero r^N is the tail, sign included: the numerator (N (1-r) + r)^2 + r
-    is a positive float wherever it is finite, and past N^2 (1-r)^2 ~ 2^1024
-    forming it would overflow.  pow's exponent is capped at 2^64, where r^N
-    is +0.0 for every r in [-0.0, 1) ((1 - 2^-53)^(2^64) = e^-2048) and
-    every larger N is even as a float, so the cap keeps pow's bits.
-    """
-    N = int(M) + 1
-    cut = 2.0 ** (-1100 / N) * (1.0 - 2.0**-40)
-    exponent = min(N, 2**64)
-    tails = np.zeros(len(rs))
-    slow = np.flatnonzero((rs >= cut) | np.signbit(rs))
-    for i, r in zip(slow.tolist(), rs[slow].tolist()):
-        p = r**exponent
-        if p != 0.0:
-            s = 1.0 - r
-            p = p * ((N * s + r) ** 2 + r) / s**3
-        tails[i] = p
-    return tails
+        return majorant(p, float(rs))
+    values = [majorant(p, x) for x in rs.reshape(-1).tolist()]
+    return np.array(values, dtype=np.float64).reshape(rs.shape)

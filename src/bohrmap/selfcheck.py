@@ -27,10 +27,10 @@ from .dilatation import (
     g_from_monomial,
 )
 from .radii import VARIANT, VARIANT_TABLE, RadiusProblem, closed_form_radius, majorant_value
+from .rules import _check_param
 from .series import (
     HarmonicMap,
     PowerSeries,
-    _check_param,
     _evaluate_rows,
     cauchy_product,
     circle_grid,

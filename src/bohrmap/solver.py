@@ -12,15 +12,16 @@ import functools
 import math
 from dataclasses import asdict, dataclass, replace
 
-import numpy as np
-
 from .radii import RadiusProblem, closed_form_radius, majorant_value
-from .series import _check_param
+from .rules import _check_param
 
 DEFAULT_BRACKET = (1e-9, 1.0 - 1e-9)
 WIDTH_TOL = 1e-13
 RESIDUAL_TOL = 1e-9
 MONOTONE_GRID = 1000
+# The scan's points, np.linspace(0, 0.99, MONOTONE_GRID + 2)[1:-1] bit for bit
+# as Python floats: linspace's i * step + 0.0 is i * step.
+_MONOTONE_POINTS = tuple(i * (0.99 / (MONOTONE_GRID + 1)) for i in range(1, MONOTONE_GRID + 1))
 _MAX_ITERATIONS = 200
 # Bisection certificates kept by ``_bisection_certificate``, keyed by value.
 # One verification solves the same problem for its profile, its sharpness
@@ -166,9 +167,8 @@ def _bisection_certificate(p: RadiusProblem, tol: float) -> RootCertificate:
 
     The certificate names no problem; ``solve_radius`` names the caller's.
     """
-    grid = np.linspace(0.0, 0.99, MONOTONE_GRID + 2)[1:-1]
-    values = majorant_value(p, grid)
-    monotone = bool(np.all(np.diff(values) > 0.0))
+    values = [majorant_value(p, r) for r in _MONOTONE_POINTS]
+    monotone = all(b > a for a, b in zip(values, values[1:]))
     cert = bracket_root(lambda r: majorant_value(p, r), *DEFAULT_BRACKET, tol=tol)
     return replace(cert, monotone_checked=monotone)
 

@@ -22,15 +22,8 @@ import numpy as np
 from .bohr import BohrProfile, _sums, verify_inequality
 from .catalog import NamedMap, make_map
 from .radii import RadiusProblem
-from .series import (
-    DEFAULT_COMPOSE_ORDER,
-    HarmonicMap,
-    PowerSeries,
-    _check_count,
-    _check_param,
-    compose,
-    evaluate_on_circle,
-)
+from .rules import DEFAULT_COMPOSE_ORDER, _check_count, _check_param
+from .series import HarmonicMap, PowerSeries, compose, evaluate_on_circle
 from .solver import min_rule_radius
 
 SCHWARZ_GRID = 256

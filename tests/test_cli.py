@@ -345,8 +345,8 @@ print(json.dumps({
 }))
 """
 
-RADIUS_LAYERS = ["cli", "radii", "series", "solver"]
-MAP_LAYERS = sorted(RADIUS_LAYERS + ["bohr", "catalog"])
+RADIUS_LAYERS = ["cli", "radii", "rules", "solver"]
+MAP_LAYERS = sorted(RADIUS_LAYERS + ["bohr", "catalog", "series"])
 # Each command's arguments and every bohrmap submodule it leaves loaded.
 FOOTPRINTS = {
     "radius": (["--theorem", "cor25", "--n", "2"], RADIUS_LAYERS),
@@ -354,7 +354,8 @@ FOOTPRINTS = {
     "verify": (["--map", "half_plane_L", "--theorem", "thm211"], MAP_LAYERS),
     "sharpness": (["--map", "half_plane_L", "--theorem", "thm211"], MAP_LAYERS),
     "image-curve": (
-        ["--map", "koebe", "--r", "0.5", "--samples", "8"], sorted(RADIUS_LAYERS + ["catalog"])
+        ["--map", "koebe", "--r", "0.5", "--samples", "8"],
+        sorted(RADIUS_LAYERS + ["catalog", "series"]),
     ),
     "subordination-campaign": (["--cases", "2"], sorted(MAP_LAYERS + ["subordination"])),
     "selfcheck": (
@@ -363,13 +364,27 @@ FOOTPRINTS = {
 }
 
 
+# The commands that run on Python floats alone: under python -m they load no numpy.
+NUMPY_FREE = {"radius", "table"}
+SRC_ENV = dict(os.environ, PYTHONPATH=str(Path(bohrmap.__file__).parents[1]))
+
+
 def footprint(*argv):
-    env = dict(os.environ, PYTHONPATH=str(Path(bohrmap.__file__).parents[1]))
     proc = subprocess.run(
-        [sys.executable, "-c", FOOTPRINT, *argv], env=env, capture_output=True, text=True,
+        [sys.executable, "-c", FOOTPRINT, *argv], env=SRC_ENV, capture_output=True, text=True,
         check=True,
     )
     return json.loads(proc.stdout)
+
+
+def dash_m_imports(*argv):
+    """Every module a cold ``python -m bohrmap`` imports, read from ``-X importtime``."""
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "bohrmap", *argv], env=SRC_ENV,
+        capture_output=True, text=True, check=True,
+    )
+    lines = [line.split("|") for line in proc.stderr.splitlines()]
+    return {fields[2].strip() for fields in lines if len(fields) == 3}
 
 
 class TestImportFootprint:
@@ -382,3 +397,59 @@ class TestImportFootprint:
     def test_command_loads_only_its_layers(self, command):
         argv, layers = FOOTPRINTS[command]
         assert footprint(command, *argv)["layers"] == layers
+
+    @pytest.mark.parametrize("command", sorted(FOOTPRINTS))
+    def test_dash_m_loads_numpy_only_where_a_layer_needs_it(self, command):
+        # python -m bohrmap imports the package with sys.argv[0] == "-m", and
+        # then numpy comes only with a layer that needs it
+        argv, layers = FOOTPRINTS[command]
+        modules = dash_m_imports(command, *argv)
+        assert sorted(n[8:] for n in modules if n.startswith("bohrmap.")) == layers
+        assert ("numpy" in modules) is (command not in NUMPY_FREE)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["radius", "--theorem", "cor25", "--n", "3"],
+         ["table", "--max-n", "8", "--format", "csv"]],
+        ids=["radius", "table"],
+    )
+    def test_radius_and_table_print_no_numpy_import(self, argv):
+        assert not [n for n in dash_m_imports(*argv) if n.split(".")[0] == "numpy"]
+
+
+# Loads the rules with numpy absent and then present, or present throughout;
+# a numpy bool is refused and a numpy integer counts either way.
+RULES_ORDER = """
+import importlib.util, sys
+if sys.argv[1] == "rules first":
+    spec = importlib.util.spec_from_file_location("rules", sys.argv[2])
+    rules = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(rules)
+    assert "numpy" not in sys.modules
+    import numpy as np
+else:
+    import numpy as np
+    from bohrmap import rules
+for check in (lambda: rules._check_param("K", np.bool_(True)),
+              lambda: rules._check_param("n", np.bool_(True)),
+              lambda: rules._check_count("M", np.bool_(True), 0)):
+    try:
+        check()
+    except ValueError:
+        continue
+    raise SystemExit("a numpy bool passed")
+rules._check_param("n", np.int64(3))
+rules._check_count("M", np.int64(3), 0)
+assert rules._is_integer(np.int64(3)) and not rules._is_integer(np.bool_(True))
+print("ok")
+"""
+
+
+@pytest.mark.parametrize("order", ["rules first", "numpy first"])
+def test_rules_tell_numpy_bools_from_integers_in_either_import_order(order):
+    path = Path(bohrmap.__file__).with_name("rules.py")
+    proc = subprocess.run(
+        [sys.executable, "-c", RULES_ORDER, order, str(path)], env=SRC_ENV,
+        capture_output=True, text=True,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "ok\n"), proc.stderr

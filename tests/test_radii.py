@@ -22,8 +22,9 @@ from bohrmap import (
     make_map,
     resolve_variant,
 )
+from bohrmap.bohr import _m2_tails
 from bohrmap.catalog import MAP
-from bohrmap.radii import _m2_tails
+from bohrmap.radii import VARIANT
 from test_solver import THM27_ROOT
 
 # frozen independent evaluations of the root equations
@@ -274,6 +275,24 @@ class TestMajorants:
         out = majorant_value(p, np.array([0.1, 0.2, 0.3]))
         assert out.shape == (3,)
         assert np.all(np.diff(out) > 0.0)
+
+    @pytest.mark.parametrize(
+        "variant", [v.name for v in VARIANT_TABLE if v.majorant]
+    )
+    def test_array_values_are_the_scalar_calls(self, variant):
+        # an array, a 0-d array, a numpy float and an int each give the bits
+        # of the Python-float call, the array in its own shape
+        params = {"k": 0.5, "n": 3}
+        p = RadiusProblem(variant, **{n: params[n] for n in VARIANT[variant].params})
+        rs = np.linspace(0.0, 0.99, 37)[:-1].reshape(4, 9)
+        want = [majorant_value(p, r).hex() for r in rs.reshape(-1).tolist()]
+        out = majorant_value(p, rs)
+        assert out.shape == rs.shape and out.dtype == np.float64
+        assert [v.hex() for v in out.reshape(-1).tolist()] == want
+        for r in (np.asarray(0.25), np.float64(0.25), 0):
+            got = majorant_value(p, r)
+            assert type(got) is float
+            assert got.hex() == majorant_value(p, float(r)).hex()
 
 
 @dataclass(frozen=True)

@@ -870,7 +870,7 @@ def test_count_minimum_is_accepted_and_one_below_refused(entry):
         call(minimum - 1)
 
 
-# Every radius in [0, 1) goes through series._check_param; each entry point
+# Every radius in [0, 1) goes through rules._check_param; each entry point
 # keeps its own name for the radius in the message.
 RADIUS_ENTRY_POINTS = {
     "circle_grid": (lambda r: circle_grid(r, 4), "radius"),
@@ -1097,6 +1097,27 @@ class TestEvaluateOnCircle:
             f = PowerSeries(c)
             got = evaluate_on_circle(f, r, 64)
             assert got.tobytes() == _frozen_evaluate_on_circle(f, r, 64).tobytes()
+
+    @pytest.mark.parametrize(
+        "f",
+        [PowerSeries([1.0, -0.0, -2.0, complex(0.5, -0.0)]),
+         HarmonicMap(PowerSeries([0.0, 1.0, 0.5]), PowerSeries([0.0, -0.5, -0.0])),
+         make_map(NamedMap("half_plane_L"))],
+        ids=["signed zeros", "conj(b)", "half_plane_L"],
+    )
+    def test_one_row_spectrum_is_the_rows_sum(self, f):
+        # a spectrum that fits on one row of the folding is that row plus
+        # the +0.0 numpy's sum starts from: its -0.0 parts read +0.0
+        samples = 4096
+        h, b = (f.h.coeffs, f.g.coeffs[1:]) if isinstance(f, HarmonicMap) else (f.coeffs, [])
+        powers = 0.3 ** np.arange(len(h), dtype=np.float64)
+        powers[powers < 2.0**-1100] = 0.0
+        row = np.zeros(samples, dtype=np.complex128)
+        row[: len(h)] = h * powers
+        row[samples - len(b) :] = (np.conj(b) * powers[1 : len(b) + 1])[::-1]
+        assert np.signbit(np.concatenate([row.real, row.imag])).any()
+        want = row.reshape(-1, samples).sum(axis=0)
+        assert series._circle_spectrum(f, 0.3, samples).tobytes() == want.tobytes()
 
     def test_schwarz_sup_bits(self):
         psi = random_schwarz(5, 3).series

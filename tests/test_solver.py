@@ -186,6 +186,12 @@ class TestSolveRadius:
         assert abs(cert.root - 0.34838507953206128) < 1e-6
 
 
+def test_monotone_points_are_linspace_bit_for_bit():
+    want = np.linspace(0.0, 0.99, solver.MONOTONE_GRID + 2)[1:-1].tolist()
+    assert [r.hex() for r in solver._MONOTONE_POINTS] == [r.hex() for r in want]
+    assert all(type(r) is float for r in solver._MONOTONE_POINTS)
+
+
 class TestMinRule:
     def test_small_n_clips_to_one_third(self):
         r = min_rule_radius(RadiusProblem("cor25_monomial", n=1))

@@ -2,7 +2,7 @@
 
 Every record of ``VARIANT_TABLE`` and ``MAP_TABLE`` is checked here, so a
 new theorem or map is covered without editing this file.  Every argument
-of ``series._PARAM_RULES`` is refused alike by each entry point taking it.
+of ``rules._PARAM_RULES`` is refused alike by each entry point taking it.
 """
 
 import importlib
@@ -42,7 +42,7 @@ from bohrmap import (
 )
 from bohrmap.catalog import MAP
 from bohrmap.selfcheck import IMAGE_REACH_PAIRS
-from bohrmap.series import _PARAM_RULES
+from bohrmap.rules import _PARAM_RULES
 
 # Parameter values every record is checked at, spanning each range.
 SAMPLES = {"K": (1.0, 3.0, 1e300), "k": (0.25, 1.0), "n": (1, 4)}
